@@ -16,7 +16,6 @@ from .rankpool import (
     DynamicImage,
     RankVector,
     arp_coefficients,
-    arp_first_step,
     dynamic_feature,
     dynamic_image,
     exact_rank_pool,

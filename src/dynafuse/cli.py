@@ -72,19 +72,14 @@ def _motion_feature(rgb_video: tensorio.VideoSequence) -> np.ndarray:
 
 
 def _std_feature(depth_video: tensorio.VideoSequence, feature_cfg: dict) -> np.ndarray:
-    params = _ssim_params(feature_cfg)
-    side = int(feature_cfg.get("roi_side", 227))
-    on_silhouette = bool(feature_cfg.get("on_silhouette", True))
-    processed, _ = keyframe.preprocess_video(depth_video, side=side, on_silhouette=on_silhouette)
-    if len(processed) >= 2:
-        selection = keyframe.select_keyframes(
-            processed, k=int(feature_cfg.get("k", 10)), params=params
-        )
-        indices = selection.frame_indices
-    else:
-        indices = (1,)
-    stack = np.stack([processed.frames[i - 1].plane(0) for i in indices])
-    vectors = stack.reshape(stack.shape[0], -1)
+    frames = keyframe.keyframe_stack(
+        depth_video,
+        k=int(feature_cfg.get("k", 10)),
+        side=int(feature_cfg.get("roi_side", 227)),
+        on_silhouette=bool(feature_cfg.get("on_silhouette", True)),
+        params=_ssim_params(feature_cfg),
+    ).frames
+    vectors = frames.reshape(frames.shape[0], -1)
     return learn.pool_features(vectors, strategy=feature_cfg.get("pool", "mean"))
 
 
@@ -163,38 +158,18 @@ def cmd_keyframes(args) -> int:
     out = Path(args.out)
     _write_run_config(args, out.with_suffix(".rpt1") if not out.suffix else out)
     video = _load_video_dir(args.video)
-    params = SsimParams(
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma_exp=args.gamma_exp,
-        k1=args.k1,
-        k2=args.k2,
-        k3=args.k3,
-        window_radius=args.window_radius,
-        window_sigma=args.window_sigma,
-    )
-    on_silhouette = not args.on_raw
-    processed, dropped = keyframe.preprocess_video(
-        video, side=args.roi_side, on_silhouette=on_silhouette
-    )
-    vec = keyframe.ssii_vector(processed, params)
-    selection = keyframe.select_keyframes(
-        processed, k=args.k, params=params, keyframe_of_pair=args.pick
-    )
-    # selection indices refer to the processed video; map back to the raw
-    # video before restacking from source frames
-    kept_raw = [i for i in range(1, len(video) + 1) if i not in dropped]
-    raw_selection = keyframe.KeyframeSelection(
-        frame_indices=tuple(sorted(kept_raw[i - 1] for i in selection.frame_indices)),
-        k_requested=selection.k_requested,
-    )
     stack = keyframe.keyframe_stack(
-        video, raw_selection, side=args.roi_side, on_silhouette=on_silhouette
+        video,
+        k=args.k,
+        side=args.roi_side,
+        on_silhouette=not args.on_raw,
+        params=_ssim_params(vars(args)),
+        keyframe_of_pair=args.pick,
     )
     with open(out.with_suffix(".csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pair_index", "ssii"])
-        for pair_index, value in vec.entries:
+        for pair_index, value in stack.ssii.entries:
             writer.writerow([pair_index, repr(value)])
     tensorio.write_tensor(
         stack.frames.astype(np.float32),
@@ -209,7 +184,7 @@ def cmd_keyframes(args) -> int:
     )
     print(
         f"selected frames {list(stack.frame_indices)} "
-        f"({stack.warning_count} dropped) -> {out.with_suffix('.rpt1')}"
+        f"({len(stack.dropped_indices)} dropped) -> {out.with_suffix('.rpt1')}"
     )
     return 0
 
@@ -325,12 +300,8 @@ def cmd_predict(args) -> int:
     feature_cfg = sidecar.get("feature", {})
     ids = [e["id"] for e in entries]
     labels = [e["class_id"] for e in entries]
-    scores = np.stack(
-        [
-            learn.predict(model, _sequence_feature(root, e, stream, feature_cfg))
-            for e in entries
-        ]
-    )
+    features = np.stack([_sequence_feature(root, e, stream, feature_cfg) for e in entries])
+    scores = learn.predict(model, features)
     _write_scores_csv(out, ids, labels, scores)
     print(f"scored {len(ids)} sequences -> {out}")
     return 0
@@ -345,10 +316,7 @@ def cmd_fuse(args) -> int:
     for other_ids, other_labels, _ in tables[1:]:
         if other_ids != ids or not np.array_equal(other_labels, labels):
             raise ValueError("score files disagree on sequence ids or labels")
-    stack = np.stack([scores for _, _, scores in tables])
-    fused = np.stack(
-        [fuse_row for fuse_row in (fusion_eval.fuse(stack[:, i], mode) for i in range(len(ids)))]
-    )
+    fused = fusion_eval.fuse([scores for _, _, scores in tables], mode)
     _write_scores_csv(out, ids, labels, fused)
     print(f"fused {len(tables)} streams ({mode.value}) -> {out}")
     return 0

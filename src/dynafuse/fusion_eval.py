@@ -117,36 +117,31 @@ def _validate_simplex(arr: np.ndarray) -> None:
         raise ValueError("score vectors must sum to 1")
 
 
-def _combine(stack: np.ndarray, mode: FusionMode) -> np.ndarray:
-    """Fuse an (S, ..., C) score stack along the stream axis and renormalize."""
+def fuse(stack: np.ndarray | Sequence[np.ndarray], mode: FusionMode) -> np.ndarray:
+    """Fuse an (S, C) or (S, n, C) stack of per-stream scores along axis 0.
+
+    Score vectors must live on the probability simplex; the output is
+    renormalized so the product mode lands back on it.
+    """
+    try:
+        arr = np.asarray(stack, dtype=np.float64)
+    except ValueError as exc:  # ragged list of per-stream scores
+        raise ValueError(f"class-count mismatch across streams: {exc}") from None
+    if arr.ndim == 0 or arr.shape[0] == 0:
+        raise ValueError("need at least one stream")
+    if arr.ndim not in (2, 3):
+        raise ValueError(f"expected an (S, C) or (S, n, C) score stack, got shape {arr.shape}")
+    _validate_simplex(arr)
     if mode is FusionMode.MAXIMUM:
-        combined = stack.max(axis=0)
+        combined = arr.max(axis=0)
     elif mode is FusionMode.AVERAGE:
-        combined = stack.mean(axis=0)
+        combined = arr.mean(axis=0)
     else:
-        combined = stack.prod(axis=0)
+        combined = arr.prod(axis=0)
     sums = combined.sum(axis=-1, keepdims=True)
     if np.any(sums <= 0):
         raise ValueError("fusion collapsed a score vector to zero mass")
     return combined / sums
-
-
-def fuse(scores: Sequence[np.ndarray], mode: FusionMode) -> np.ndarray:
-    """Fuse per-stream score vectors for one sample.
-
-    Inputs must live on the probability simplex; the output is
-    renormalized so the product mode lands back on it.
-    """
-    if len(scores) == 0:
-        raise ValueError("need at least one stream")
-    lengths = {np.asarray(s).shape for s in scores}
-    if len(lengths) != 1:
-        raise ValueError(f"class-count mismatch across streams: {sorted(lengths)}")
-    stack = np.asarray(scores, dtype=np.float64)
-    if stack.ndim != 2:
-        raise ValueError("each stream must contribute one score vector")
-    _validate_simplex(stack)
-    return _combine(stack, mode)
 
 
 def make_splits(
@@ -255,7 +250,7 @@ def evaluate(
         report["streams"][name] = _single_report(arr, labels, num_classes)
     stack = np.stack(list(matrices.values()))
     for mode in modes:
-        fused = _combine(stack, mode)
+        fused = fuse(stack, mode)
         report["fusion"][mode.value] = _single_report(fused, labels, num_classes)
     return report
 

@@ -47,34 +47,27 @@ class KeyframeSelection:
         object.__setattr__(self, "frame_indices", idx)
 
 
-def preprocess_frame(frame: Frame, side: int = 227, on_silhouette: bool = True) -> Frame:
-    """Silhouette -> largest component -> square ROI resize for one depth frame.
-
-    With ``on_silhouette`` the ROI content is the binary mask itself;
-    otherwise the raw depth values are cropped.  Raises on an empty
-    silhouette.
-    """
-    mask = imgproc.silhouette(frame)
-    mask = imgproc.largest_component(mask)
-    source = Frame.from_array(mask.astype(np.float64)) if on_silhouette else frame
-    return imgproc.roi_resize(source, mask, side=side)
-
-
 def preprocess_video(
     video: VideoSequence, side: int = 227, on_silhouette: bool = True
 ) -> tuple[VideoSequence, list[int]]:
-    """Per-frame preprocessing of a depth video.
+    """Silhouette -> largest component -> square ROI resize for each depth frame.
 
-    Frames whose silhouette comes out empty are dropped; their 1-based
-    indices are returned alongside the processed video.
+    With ``on_silhouette`` the ROI content is the binary mask itself;
+    otherwise the raw depth values are cropped.  Frames whose silhouette
+    comes out empty are dropped; their 1-based indices are returned
+    alongside the processed video.
     """
     kept: list[Frame] = []
     dropped: list[int] = []
     for i, frame in enumerate(video.frames, start=1):
+        mask = imgproc.silhouette(frame)
         try:
-            kept.append(preprocess_frame(frame, side=side, on_silhouette=on_silhouette))
-        except ValueError:
+            mask = imgproc.largest_component(mask)
+        except ValueError:  # empty silhouette
             dropped.append(i)
+            continue
+        source = Frame.from_array(mask.astype(np.float64)) if on_silhouette else frame
+        kept.append(imgproc.roi_resize(source, mask, side=side))
     if not kept:
         raise ValueError("all frames produced empty silhouettes")
     processed = VideoSequence(
@@ -104,26 +97,18 @@ def ssii_vector(video: VideoSequence, params: SsimParams | None = None) -> SsiiV
     return SsiiVector(entries=tuple(values))
 
 
-def select_keyframes(
-    video: VideoSequence,
-    k: int = 10,
-    params: SsimParams | None = None,
-    keyframe_of_pair: str = "first",
-) -> KeyframeSelection:
-    """Pick the k frames whose pairs have the lowest similarity.
+def _pick(vec: SsiiVector, n: int, k: int, keyframe_of_pair: str) -> tuple[int, ...]:
+    """Walk the ascending similarity vector of an n-frame video for k key frames.
 
-    Walks the ascending similarity vector emitting the leading frame of
-    each pair (``keyframe_of_pair='second'`` emits the trailing frame
-    instead), deduplicates, and backfills from the tail of the video when
-    fewer than k distinct indices are available.  The result is sorted
-    ascending to preserve temporal order.
+    Emits the leading frame of each pair (``keyframe_of_pair='second'``
+    emits the trailing frame instead), deduplicates, and backfills from
+    the tail of the video when fewer than k distinct indices are
+    available.  The result is sorted ascending to preserve temporal order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if keyframe_of_pair not in ("first", "second"):
         raise ValueError("keyframe_of_pair must be 'first' or 'second'")
-    n = len(video)
-    vec = ssii_vector(video, params)
     offset = 0 if keyframe_of_pair == "first" else 1
     want = min(k, n)
     chosen: list[int] = []
@@ -144,50 +129,61 @@ def select_keyframes(
         if idx not in seen:
             seen.add(idx)
             chosen.append(idx)
-    return KeyframeSelection(frame_indices=tuple(sorted(chosen)), k_requested=k)
+    return tuple(sorted(chosen))
+
+
+def select_keyframes(
+    video: VideoSequence,
+    k: int = 10,
+    params: SsimParams | None = None,
+    keyframe_of_pair: str = "first",
+) -> KeyframeSelection:
+    """Pick the k frames of an already preprocessed video whose pairs have
+    the lowest similarity (see ``_pick`` for the walk and the backfill)."""
+    indices = _pick(ssii_vector(video, params), len(video), k, keyframe_of_pair)
+    return KeyframeSelection(frame_indices=indices, k_requested=k)
 
 
 @dataclass(frozen=True)
 class KeyframeStack:
     """Preprocessed key frames stacked [K, side, side] in temporal order.
 
-    ``dropped_indices`` lists selected frames that had to be skipped
-    because their silhouette was empty.
+    ``frame_indices`` are the raw 1-based frame numbers of the stacked
+    frames.  ``dropped_indices`` are the raw frames whose silhouette came
+    out empty, so they took no part in ranking or selection.  ``ssii``
+    ranks consecutive pairs of the kept frames (pair i joins the i-th and
+    (i+1)-th kept frame); it is empty when fewer than 2 frames were kept.
     """
 
     frames: np.ndarray
     frame_indices: tuple[int, ...]
     dropped_indices: tuple[int, ...]
-
-    @property
-    def warning_count(self) -> int:
-        return len(self.dropped_indices)
+    ssii: SsiiVector
 
 
 def keyframe_stack(
     video: VideoSequence,
-    selection: KeyframeSelection,
+    k: int = 10,
     side: int = 227,
     on_silhouette: bool = True,
+    params: SsimParams | None = None,
+    keyframe_of_pair: str = "first",
 ) -> KeyframeStack:
-    """Preprocess each selected frame of the raw depth video and stack them."""
-    kept: list[np.ndarray] = []
-    kept_idx: list[int] = []
-    dropped: list[int] = []
-    for idx in selection.frame_indices:
-        if not 1 <= idx <= len(video):
-            raise ValueError(f"frame index {idx} outside video of length {len(video)}")
-        try:
-            frame = preprocess_frame(video.frames[idx - 1], side=side, on_silhouette=on_silhouette)
-        except ValueError:
-            dropped.append(idx)
-            continue
-        kept.append(frame.plane(0))
-        kept_idx.append(idx)
-    if not kept:
-        raise ValueError("empty stack: every selected frame had an empty silhouette")
+    """Preprocess a raw depth video, rank its kept frames and stack the key frames.
+
+    Preprocessing and the similarity vector run once each (n - 1
+    similarity evaluations for n kept frames).  A video with a single
+    kept frame stacks that frame.
+    """
+    processed, dropped = preprocess_video(video, side=side, on_silhouette=on_silhouette)
+    n = len(processed)
+    vec = ssii_vector(processed, params) if n >= 2 else SsiiVector(entries=())
+    picked = _pick(vec, n, k, keyframe_of_pair)
+    skipped = set(dropped)
+    kept_raw = [i for i in range(1, len(video) + 1) if i not in skipped]
     return KeyframeStack(
-        frames=np.stack(kept),
-        frame_indices=tuple(kept_idx),
+        frames=np.stack([processed.frames[i - 1].plane(0) for i in picked]),
+        frame_indices=tuple(kept_raw[i - 1] for i in picked),
         dropped_indices=tuple(dropped),
+        ssii=vec,
     )

@@ -10,7 +10,7 @@ data order, seed and config.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -105,37 +105,21 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _standardized(model: LinearModel, x: np.ndarray) -> np.ndarray:
-    return (x - model.feature_mean) / model.feature_scale
-
-
-def _logits(model: LinearModel, x: np.ndarray) -> np.ndarray:
-    return _standardized(model, x) @ model.weights.T + model.bias
-
-
-def predict(model: LinearModel, feature: np.ndarray) -> np.ndarray:
-    """Class probability vector for one feature vector."""
-    x = np.asarray(feature, dtype=np.float64)
-    if x.shape != (model.dim,):
+def predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
+    """Class probabilities for one feature vector (d,) or, row-wise, an (n, d) matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != model.dim:
         raise ValueError(f"feature shape {x.shape} does not match model dim {model.dim}")
-    return softmax(_logits(model, x))
-
-
-def predict_batch(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    """Row-wise class probabilities for an (n, d) feature matrix."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.dim:
-        raise ValueError(f"feature matrix shape {x.shape} does not match model dim {model.dim}")
-    return softmax(_logits(model, x))
+    z = (x - model.feature_mean) / model.feature_scale
+    return softmax(z @ model.weights.T + model.bias)
 
 
 def _cross_entropy_and_grads(
-    model: LinearModel, x: np.ndarray, y: np.ndarray
+    z: np.ndarray, y: np.ndarray, w: np.ndarray, b: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy over a batch and its gradient w.r.t. (W, b)."""
-    z = _standardized(model, x)
-    probs = softmax(z @ model.weights.T + model.bias)
-    n = x.shape[0]
+    """Mean cross-entropy of a standardized batch and its gradient w.r.t. (W, b)."""
+    probs = softmax(z @ w.T + b)
+    n = z.shape[0]
     loss = float(-np.log(probs[np.arange(n), y]).mean())
     delta = probs.copy()
     delta[np.arange(n), y] -= 1.0
@@ -162,17 +146,11 @@ class AdamState:
         return param - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
 
 
-def _accuracy(model: LinearModel, x: np.ndarray, y: np.ndarray) -> float:
-    pred = np.argmax(predict_batch(model, x), axis=1)
-    return float((pred == y).mean())
-
-
 def train(
     features: Sequence[tuple[np.ndarray, int]],
     num_classes: int,
     cfg: AdamConfig,
     val_fraction: float = 0.2,
-    standardize: bool = True,
 ) -> tuple[LinearModel, TrainLog]:
     """Fit a linear softmax model on (vector, class_id) samples.
 
@@ -203,41 +181,26 @@ def train(
     train_idx = order[: n - n_val]
     val_idx = order[n - n_val :]
     x_train, y_train = x[train_idx], y[train_idx]
-    x_val, y_val = x[val_idx], y[val_idx]
+    y_val = y[val_idx]
 
     present = np.unique(y_train)
     if len(present) < num_classes:
         missing = sorted(set(range(num_classes)) - set(present.tolist()))
         raise ValueError(f"classes {missing} have zero samples in the training split")
 
-    if standardize:
-        mean = x_train.mean(axis=0)
-        std = x_train.std(axis=0)
-        scale = np.where(std > 1e-12, std, 1.0)
-    else:
-        mean = np.zeros(dim)
-        scale = np.ones(dim)
+    mean = x_train.mean(axis=0)
+    std = x_train.std(axis=0)
+    scale = np.where(std > 1e-12, std, 1.0)
+    z_train = (x_train - mean) / scale
+    z_val = (x[val_idx] - mean) / scale
 
-    model = LinearModel(
-        weights=np.zeros((num_classes, dim)),
-        bias=np.zeros(num_classes),
-        num_classes=num_classes,
-        dim=dim,
-        feature_mean=mean,
-        feature_scale=scale,
-    )
-    log = TrainLog()
-    if cfg.epochs == 0:
-        log.best_epoch = 0
-        return model, log
-
-    w = model.weights.copy()
-    b = model.bias.copy()
+    w = np.zeros((num_classes, dim))
+    b = np.zeros(num_classes)
     adam_w = AdamState(w.shape, cfg)
     adam_b = AdamState(b.shape, cfg)
-    best_w, best_b = w.copy(), b.copy()
+    best_w, best_b = w, b  # AdamState.update returns new arrays, never mutates
     best_acc = -1.0
-    best_epoch = 0
+    log = TrainLog()
 
     n_train = len(train_idx)
     for epoch in range(1, cfg.epochs + 1):
@@ -245,27 +208,35 @@ def train(
         batch_losses = []
         for start in range(0, n_train, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
-            current = replace(model, weights=w, bias=b)
-            loss, g_w, g_b = _cross_entropy_and_grads(current, x_train[batch], y_train[batch])
+            loss, g_w, g_b = _cross_entropy_and_grads(z_train[batch], y_train[batch], w, b)
             w = adam_w.update(w, g_w)
             b = adam_b.update(b, g_b)
             batch_losses.append(loss)
         log.train_loss.append(float(np.mean(batch_losses)))
         if n_val > 0:
-            acc = _accuracy(replace(model, weights=w, bias=b), x_val, y_val)
+            pred = np.argmax(softmax(z_val @ w.T + b), axis=1)
+            acc = float((pred == y_val).mean())
             log.val_accuracy.append(acc)
             if acc > best_acc:
                 best_acc = acc
-                best_epoch = epoch
-                best_w, best_b = w.copy(), b.copy()
+                log.best_epoch = epoch
+                best_w, best_b = w, b
         else:
             log.val_accuracy.append(float("nan"))
-            best_w, best_b = w.copy(), b.copy()
-            best_epoch = epoch
+            best_w, best_b = w, b
+            log.best_epoch = epoch
 
-    log.best_epoch = best_epoch
-    log.best_val_accuracy = best_acc if n_val > 0 else float("nan")
-    return replace(model, weights=best_w, bias=best_b), log
+    if n_val > 0 and cfg.epochs > 0:
+        log.best_val_accuracy = best_acc
+    model = LinearModel(
+        weights=best_w,
+        bias=best_b,
+        num_classes=num_classes,
+        dim=dim,
+        feature_mean=mean,
+        feature_scale=scale,
+    )
+    return model, log
 
 
 def gradient_check(model: LinearModel, batch: Sequence[tuple[np.ndarray, int]]) -> float:
@@ -276,12 +247,14 @@ def gradient_check(model: LinearModel, batch: Sequence[tuple[np.ndarray, int]]) 
     """
     x = np.asarray([np.asarray(v, dtype=np.float64).ravel() for v, _ in batch])
     y = np.asarray([int(c) for _, c in batch])
-    _, g_w, g_b = _cross_entropy_and_grads(model, x, y)
+    z = (x - model.feature_mean) / model.feature_scale
+    params = {"w": model.weights, "b": model.bias}
+    _, g_w, g_b = _cross_entropy_and_grads(z, y, **params)
 
     h = 1e-5
     worst = 0.0
-    for analytic, attr in ((g_w, "weights"), (g_b, "bias")):
-        base = getattr(model, attr).copy()
+    for analytic, attr in ((g_w, "w"), (g_b, "b")):
+        base = params[attr]
         numeric = np.zeros_like(base)
         it = np.nditer(base, flags=["multi_index"])
         for _ in it:
@@ -289,8 +262,7 @@ def gradient_check(model: LinearModel, batch: Sequence[tuple[np.ndarray, int]]) 
             for sign in (+1.0, -1.0):
                 perturbed = base.copy()
                 perturbed[idx] += sign * h
-                shifted = replace(model, **{attr: perturbed})
-                loss, _, _ = _cross_entropy_and_grads(shifted, x, y)
+                loss, _, _ = _cross_entropy_and_grads(z, y, **{**params, attr: perturbed})
                 numeric[idx] += sign * loss
             numeric[idx] /= 2.0 * h
         diff = np.abs(analytic - numeric)

@@ -66,21 +66,6 @@ class RankVector:
 
 
 @dataclass(frozen=True)
-class TimeAverage:
-    """Running means q[t] = mean of the first t feature vectors, (N, d)."""
-
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64)
-        if q.ndim != 2 or q.shape[0] < 1:
-            raise ValueError("q must be a non-empty (N, d) array")
-        q = q.copy()
-        q.flags.writeable = False
-        object.__setattr__(self, "q", q)
-
-
-@dataclass(frozen=True)
 class DynamicImage:
     """A whole video pooled into one image.
 
@@ -137,14 +122,14 @@ def dynamic_feature(seq: FeatureSequence) -> np.ndarray:
     return gamma @ seq.vectors
 
 
-def time_average(seq: FeatureSequence) -> TimeAverage:
-    """Running mean of the feature vectors over every prefix."""
+def time_average(seq: FeatureSequence) -> np.ndarray:
+    """Running means q[t] = mean of the first t + 1 feature vectors, (N, d)."""
     n = len(seq)
     if n < 1:
         raise ValueError("empty feature sequence")
     sums = np.cumsum(seq.vectors, axis=0)
     counts = np.arange(1, n + 1, dtype=np.float64)[:, None]
-    return TimeAverage(q=sums / counts)
+    return sums / counts
 
 
 def _objective(r: np.ndarray, q: np.ndarray, lam: float, pair_scale: float) -> float:
@@ -174,7 +159,7 @@ def exact_rank_pool(
         raise ValueError(f"need at least 2 feature vectors, got {n}")
     if lam <= 0:
         raise ValueError("lam must be > 0")
-    q = time_average(seq).q
+    q = time_average(seq)
     pair_scale = 2.0 / (n * (n - 1))
     t1_idx, t2_idx = np.triu_indices(n, k=1)
     diff = q[t1_idx] - q[t2_idx]  # hinge gradient contribution per pair
@@ -209,16 +194,3 @@ def exact_rank_pool(
         r=r, lam=lam, iterations=iterations, final_objective=obj, converged=converged
     )
 
-
-def arp_first_step(seq: FeatureSequence) -> np.ndarray:
-    """First-gradient-step direction sum_{t2 > t1} (Q_t2 - Q_t1).
-
-    Sign-corrected so scores grow with time; positively proportional to
-    (in fact equal to) ``dynamic_feature`` of the same sequence.
-    """
-    n = len(seq)
-    if n < 2:
-        raise ValueError(f"need at least 2 feature vectors, got {n}")
-    q = time_average(seq).q
-    t1_idx, t2_idx = np.triu_indices(n, k=1)
-    return (q[t2_idx] - q[t1_idx]).sum(axis=0)

@@ -12,6 +12,7 @@ Two on-disk formats are supported:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -288,10 +289,10 @@ def read_tensor(path) -> tuple[np.ndarray, dict | None]:
     dims_end = 8 + 4 * rank
     if len(blob) < dims_end:
         raise ValueError("tensor dims truncated")
-    dims = np.frombuffer(blob, dtype="<u4", count=rank, offset=8).astype(np.int64)
-    if np.any(dims < 1):
-        raise ValueError(f"tensor dims must be positive, got {dims.tolist()}")
-    count = int(np.prod(dims))
+    dims = np.frombuffer(blob, dtype="<u4", count=rank, offset=8).tolist()
+    if min(dims) < 1:
+        raise ValueError(f"tensor dims must be positive, got {dims}")
+    count = math.prod(dims)  # Python ints: a u32 product cannot wrap
     payload_end = dims_end + 4 * count
     if len(blob) < payload_end:
         raise ValueError(
@@ -299,7 +300,7 @@ def read_tensor(path) -> tuple[np.ndarray, dict | None]:
             f"have {len(blob) - dims_end}"
         )
     arr = np.frombuffer(blob, dtype="<f4", count=count, offset=dims_end)
-    arr = arr.reshape(tuple(dims)).astype(np.float32)
+    arr = arr.reshape(dims).astype(np.float32)
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor payload contains non-finite values")
     metadata = None

@@ -84,7 +84,7 @@ def test_criterion_03_exact_rank_pooling():
         u /= np.linalg.norm(u)
         seq = FeatureSequence(vectors=np.outer(np.arange(1, n + 1), u))
         res = exact_rank_pool(seq, lam=0.01)
-        scores = time_average(seq).q @ res.r
+        scores = time_average(seq) @ res.r
         assert np.all(np.diff(scores) > 0), f"n={n}"
     print(f"\n[criterion 3] PASS: r* = {result.r[0]:.6f}, ramp scores increase")
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dynafuse import cli
+from dynafuse import cli, imgproc
 from dynafuse.tensorio import (
     FeatureSequence,
     Frame,
@@ -91,15 +91,18 @@ class TestEncodeDi:
         assert (out.with_suffix(".pgm")).exists()
 
 
+def depth_frames(n=6, side=24):
+    frames = []
+    for t in range(n):
+        arr = np.zeros((side, side))
+        arr[4 : 14 + (t % 2), 6:18] = 0.9
+        frames.append(Frame.from_array(arr))
+    return frames
+
+
 class TestKeyframesCommand:
     def test_outputs_csv_and_stack(self, tmp_path):
-        rng = np.random.default_rng(70)
-        frames = []
-        for t in range(6):
-            arr = np.zeros((24, 24))
-            arr[4 : 14 + (t % 2), 6:18] = 0.9
-            frames.append(Frame.from_array(arr))
-        make_video_dir(tmp_path / "vid", frames)
+        make_video_dir(tmp_path / "vid", depth_frames())
         out = tmp_path / "kf"
         assert cli.main(["keyframes", "--video", str(tmp_path / "vid"),
                          "--k", "3", "--roi-side", "16", "--out", str(out)]) == 0
@@ -109,6 +112,41 @@ class TestKeyframesCommand:
         stack, meta = read_tensor(out.with_suffix(".rpt1"))
         assert stack.shape == (3, 16, 16)
         assert len(meta["frame_indices"]) == 3
+
+    def test_reports_dropped_frames(self, tmp_path, monkeypatch, capsys):
+        """A blank frame is reported, and the 5 kept frames cost 4 SSIMs."""
+        frames = depth_frames()
+        frames[2] = Frame.from_array(np.zeros((24, 24)))
+        make_video_dir(tmp_path / "vid", frames)
+        calls = []
+        ssim = imgproc.ssim
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ssim(*args, **kwargs)
+
+        monkeypatch.setattr(imgproc, "ssim", counted)
+        out = tmp_path / "kf"
+        assert cli.main(["keyframes", "--video", str(tmp_path / "vid"),
+                         "--k", "3", "--roi-side", "16", "--out", str(out)]) == 0
+        _, meta = read_tensor(out.with_suffix(".rpt1"))
+        assert meta["dropped_indices"] == [3]
+        assert 3 not in meta["frame_indices"]
+        assert "(1 dropped)" in capsys.readouterr().out
+        assert len(calls) == 4
+        rows = out.with_suffix(".csv").read_text().splitlines()
+        assert sorted(int(r.split(",")[0]) for r in rows[1:]) == [1, 2, 3, 4]
+
+    def test_stack_is_what_the_std_stream_pools(self, tmp_path):
+        frames = depth_frames(n=8)
+        make_video_dir(tmp_path / "vid", frames)
+        out = tmp_path / "kf"
+        assert cli.main(["keyframes", "--video", str(tmp_path / "vid"),
+                         "--k", "4", "--roi-side", "16", "--out", str(out)]) == 0
+        stack, _ = read_tensor(out.with_suffix(".rpt1"))
+        video = cli._load_video_dir(tmp_path / "vid")
+        pooled = cli._std_feature(video, {"k": 4, "roi_side": 16, "pool": "concat"})
+        np.testing.assert_array_equal(stack, pooled.astype(np.float32).reshape(stack.shape))
 
 
 class TestRankpoolExactCommand:

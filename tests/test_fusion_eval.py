@@ -75,6 +75,14 @@ class TestFuse:
                 assert abs(out.sum() - 1.0) <= 1e-9
                 assert np.all(out >= 0)
 
+    def test_batched_stack_matches_rows(self):
+        rng = np.random.default_rng(65)
+        raw = rng.random((3, 7, 4)) + 1e-9
+        stack = raw / raw.sum(axis=-1, keepdims=True)
+        for mode in FusionMode:
+            rows = np.stack([fuse(stack[:, i], mode) for i in range(7)])
+            np.testing.assert_array_equal(fuse(stack, mode), rows)
+
     def test_class_count_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             fuse([np.array([0.5, 0.5]), np.array([0.3, 0.3, 0.4])], FusionMode.AVERAGE)

@@ -127,34 +127,40 @@ class TestKeyframeStack:
         processed, dropped = preprocess_video(video, side=16)
         assert not dropped
         sel = select_keyframes(processed, k=10)
-        stack = keyframe_stack(video, sel, side=16)
+        stack = keyframe_stack(video, k=10, side=16)
         assert stack.frames.shape == (10, 16, 16)
-        assert stack.warning_count == 0
+        assert stack.frame_indices == sel.frame_indices
+        assert stack.dropped_indices == ()
+        assert len(stack.ssii.entries) == 11
+        expected = np.stack([processed.frames[i - 1].plane(0) for i in sel.frame_indices])
+        np.testing.assert_array_equal(stack.frames, expected)
 
     def test_single_frame_selection(self):
-        video = self.depth_video()
-        sel = KeyframeSelection(frame_indices=(3,), k_requested=1)
-        stack = keyframe_stack(video, sel, side=16)
+        empty = Frame.from_array(np.zeros((16, 16)))
+        video = make_video([empty, block_frame(), empty])
+        stack = keyframe_stack(video, k=10, side=16)
         assert stack.frames.shape == (1, 16, 16)
+        assert stack.frame_indices == (2,)
+        assert stack.dropped_indices == (1, 3)
+        assert stack.ssii.entries == ()
 
     def test_all_background_video_errors(self):
         video = make_video([Frame.from_array(np.zeros((16, 16)))] * 4)
-        sel = KeyframeSelection(frame_indices=(1, 2), k_requested=2)
-        with pytest.raises(ValueError, match="empty stack"):
-            keyframe_stack(video, sel, side=16)
+        with pytest.raises(ValueError, match="empty silhouettes"):
+            keyframe_stack(video, k=2, side=16)
 
     def test_empty_frames_dropped_with_warning_count(self):
-        good = block_frame()
+        """A blank frame is dropped before ranking; the stack reports raw
+        frame numbers and the pairs number the kept frames."""
+        good = self.depth_video(n=6, side=16).frames
         empty = Frame.from_array(np.zeros((16, 16)))
-        video = make_video([good, empty, good, good])
-        sel = KeyframeSelection(frame_indices=(1, 2, 3), k_requested=3)
-        stack = keyframe_stack(video, sel, side=16)
-        assert stack.warning_count == 1
-        assert stack.dropped_indices == (2,)
-        assert stack.frames.shape == (2, 16, 16)
+        video = make_video([good[0], good[1], empty, good[3], good[4], good[5]])
+        stack = keyframe_stack(video, k=3, side=16)
+        assert stack.dropped_indices == (3,)
+        assert 3 not in stack.frame_indices
+        assert stack.frames.shape == (3, 16, 16)
+        assert sorted(i for i, _ in stack.ssii.entries) == [1, 2, 3, 4]
 
     def test_silhouette_content_binary(self):
-        video = self.depth_video()
-        sel = select_keyframes(preprocess_video(video, side=16)[0], k=3)
-        stack = keyframe_stack(video, sel, side=16)
+        stack = keyframe_stack(self.depth_video(), k=3, side=16)
         assert stack.frames.min() >= 0.0 and stack.frames.max() <= 1.0

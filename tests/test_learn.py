@@ -140,10 +140,22 @@ class TestPredict:
         x = np.array([1.0, 2.0])
         np.testing.assert_array_equal(predict(model, x), predict(model, x))
 
+    def test_matrix_rows_match_vectors(self):
+        rng = np.random.default_rng(57)
+        model = LinearModel(
+            weights=rng.standard_normal((3, 4)), bias=rng.standard_normal(3),
+            num_classes=3, dim=4,
+            feature_mean=rng.standard_normal(4), feature_scale=rng.random(4) + 0.5,
+        )
+        x = rng.standard_normal((6, 4))
+        rows = np.stack([predict(model, v) for v in x])
+        np.testing.assert_allclose(predict(model, x), rows, rtol=0, atol=1e-15)
+
     def test_dimension_mismatch(self):
         model = LinearModel.zeros(num_classes=2, dim=2)
-        with pytest.raises(ValueError, match="dim"):
-            predict(model, np.zeros(3))
+        for x in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="dim"):
+                predict(model, x)
 
 
 class TestGradientCheck:

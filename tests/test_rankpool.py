@@ -5,7 +5,6 @@ import pytest
 
 from dynafuse.rankpool import (
     arp_coefficients,
-    arp_first_step,
     dynamic_feature,
     dynamic_image,
     exact_rank_pool,
@@ -30,6 +29,15 @@ def pair_sum_oracle(vectors: np.ndarray) -> np.ndarray:
         for t2 in range(t1 + 1, n):
             total += q[t2] - q[t1]
     return total
+
+
+def arp_first_step(s: FeatureSequence) -> np.ndarray:
+    """First-gradient-step direction sum_{t2 > t1} (Q_t2 - Q_t1) of the
+    exact objective from r = 0, sign-corrected so scores grow with time:
+    the derivation ``dynamic_feature`` collapses to closed form."""
+    q = time_average(s)
+    t1_idx, t2_idx = np.triu_indices(len(s), k=1)
+    return (q[t2_idx] - q[t1_idx]).sum(axis=0)
 
 
 def seq(vectors) -> FeatureSequence:
@@ -147,18 +155,18 @@ class TestDynamicFeature:
 
 class TestTimeAverage:
     def test_two_step_means(self):
-        ta = time_average(seq([[0.0], [1.0]]))
-        np.testing.assert_allclose(ta.q, [[0.0], [0.5]])
+        q = time_average(seq([[0.0], [1.0]]))
+        np.testing.assert_allclose(q, [[0.0], [0.5]])
 
     def test_constant_sequence(self):
-        ta = time_average(seq(np.full((5, 2), 3.0)))
-        np.testing.assert_allclose(ta.q, 3.0)
+        q = time_average(seq(np.full((5, 2), 3.0)))
+        np.testing.assert_allclose(q, 3.0)
 
     def test_last_entry_is_global_mean(self):
         rng = np.random.default_rng(44)
         vectors = rng.random((9, 4))
-        ta = time_average(seq(vectors))
-        np.testing.assert_allclose(ta.q[-1], vectors.mean(axis=0), atol=1e-12)
+        q = time_average(seq(vectors))
+        np.testing.assert_allclose(q[-1], vectors.mean(axis=0), atol=1e-12)
 
 
 class TestExactRankPool:
@@ -187,7 +195,7 @@ class TestExactRankPool:
             u /= np.linalg.norm(u)
             s = seq(np.outer(np.arange(1, n + 1), u))
             result = exact_rank_pool(s, lam=0.01)
-            scores = time_average(s).q @ result.r
+            scores = time_average(s) @ result.r
             assert np.all(np.diff(scores) > 0)
 
     def test_objective_never_negative(self):

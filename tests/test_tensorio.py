@@ -145,12 +145,14 @@ class TestTensorFormat:
             read_tensor(path)
 
     def test_payload_length_mismatch(self, tmp_path):
-        blob = b"RPT1" + np.asarray([1], dtype="<u4").tobytes()
-        blob += np.asarray([4], dtype="<u4").tobytes() + b"\x00" * 8
-        path = tmp_path / "t.rpt1"
-        path.write_bytes(blob)
-        with pytest.raises(ValueError, match="mismatch"):
-            read_tensor(path)
+        # dims 65536^4 = 2^64 elements: a fixed-width product would wrap to 0
+        for dims in ([4], [65536] * 4):
+            blob = b"RPT1" + np.asarray([len(dims)], dtype="<u4").tobytes()
+            blob += np.asarray(dims, dtype="<u4").tobytes() + b"\x00" * 8
+            path = tmp_path / "t.rpt1"
+            path.write_bytes(blob)
+            with pytest.raises(ValueError, match="payload length mismatch"):
+                read_tensor(path)
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(21)
