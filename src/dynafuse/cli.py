@@ -156,7 +156,7 @@ def cmd_synth(args) -> int:
 
 def cmd_keyframes(args) -> int:
     out = Path(args.out)
-    _write_run_config(args, out.with_suffix(".rpt1") if not out.suffix else out)
+    _write_run_config(args, out.with_suffix(".rpt1"))
     video = _load_video_dir(args.video)
     stack = keyframe.keyframe_stack(
         video,
@@ -225,7 +225,7 @@ def cmd_rankpool_exact(args) -> int:
         "final_objective": result.final_objective,
         "converged": result.converged,
     }
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    out.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     print(f"rank vector ({result.iterations} iterations) -> {out}")
     return 0
 

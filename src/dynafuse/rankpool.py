@@ -6,9 +6,15 @@ feature averages Q_t increase with time, by minimizing
     E(r) = (lam/2) * ||r||^2
          + (2 / (N (N-1))) * sum_{t2 > t1} max(0, 1 - <r, Q_t2> + <r, Q_t1>)
 
-with full-batch subgradient descent.  The approximate form is the first
-gradient step from r = 0, which collapses to content-independent
-per-frame coefficients
+with full-batch subgradient descent.  The hinge subgradient is summed
+per frame, not per pair: with c_t the number of active pairs in which
+frame t is the earlier frame minus those in which it is the later one,
+sum_active (Q_t1 - Q_t2) = c^T Q.  A step therefore costs O(N^2 + N d)
+time and holds O(N^2) booleans and floats next to the (N, d) running
+averages; nothing of shape (N (N-1) / 2, d) is built.
+
+The approximate form is the first gradient step from r = 0, which
+collapses to content-independent per-frame coefficients
 
     gamma_t = sum_{i=t}^{n} (2 i - n - 1) / i
 
@@ -17,6 +23,7 @@ so a video pools into a single weighted sum: the dynamic image.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +65,8 @@ class RankVector:
         r = np.asarray(self.r, dtype=np.float64)
         if not np.all(np.isfinite(r)):
             raise ValueError("rank vector contains non-finite values")
+        if not math.isfinite(self.final_objective):
+            raise ValueError("objective is not finite")
         if self.final_objective < 0:
             raise ValueError("objective cannot be negative")
         r = r.copy()
@@ -132,12 +141,14 @@ def time_average(seq: FeatureSequence) -> np.ndarray:
     return sums / counts
 
 
-def _objective(r: np.ndarray, q: np.ndarray, lam: float, pair_scale: float) -> float:
+def _evaluate(
+    r: np.ndarray, q: np.ndarray, lam: float, pair_scale: float, upper: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Objective at r and the mask of active hinge pairs, indexed [t1, t2]."""
     scores = q @ r
     margins = 1.0 - scores[None, :] + scores[:, None]  # [t1, t2] = 1 - s(t2) + s(t1)
-    upper = np.triu_indices(len(scores), k=1)
     hinge = np.maximum(margins[upper], 0.0).sum()
-    return 0.5 * lam * float(r @ r) + pair_scale * float(hinge)
+    return 0.5 * lam * float(r @ r) + pair_scale * float(hinge), (margins > 0.0) & upper
 
 
 def exact_rank_pool(
@@ -152,31 +163,37 @@ def exact_rank_pool(
     The step is halved whenever a proposal would increase the objective,
     so accepted iterations are non-increasing.  Stopping on an objective
     improvement below ``tol`` sets ``converged``; hitting ``max_iter``
-    leaves it false (not an error).
+    leaves it false (not an error).  Raises ValueError for fewer than two
+    vectors, ``lam`` or ``step`` not finite and > 0, ``max_iter`` < 0, or
+    ``tol`` not finite and >= 0.
     """
     n = len(seq)
     if n < 2:
         raise ValueError(f"need at least 2 feature vectors, got {n}")
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and > 0, got {lam}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     q = time_average(seq)
     pair_scale = 2.0 / (n * (n - 1))
-    t1_idx, t2_idx = np.triu_indices(n, k=1)
-    diff = q[t1_idx] - q[t2_idx]  # hinge gradient contribution per pair
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
 
     r = np.zeros(seq.dim)
-    obj = _objective(r, q, lam, pair_scale)
+    obj, active = _evaluate(r, q, lam, pair_scale, upper)
     iterations = 0
     converged = False
     cur_step = step
     for _ in range(max_iter):
-        scores = q @ r
-        active = (1.0 - scores[t2_idx] + scores[t1_idx]) > 0.0
-        grad = lam * r + pair_scale * diff[active].sum(axis=0)
+        net = active.sum(axis=1) - active.sum(axis=0)  # c_t of the module docstring
+        grad = lam * r + pair_scale * (net @ q)
         accepted = False
         while cur_step > 1e-16:
             candidate = r - cur_step * grad
-            cand_obj = _objective(candidate, q, lam, pair_scale)
+            cand_obj, cand_active = _evaluate(candidate, q, lam, pair_scale, upper)
             if cand_obj < obj:
                 accepted = True
                 break
@@ -185,7 +202,7 @@ def exact_rank_pool(
             converged = True
             break
         improvement = obj - cand_obj
-        r, obj = candidate, cand_obj
+        r, obj, active = candidate, cand_obj, cand_active
         iterations += 1
         if improvement < tol:
             converged = True

@@ -137,6 +137,15 @@ class TestKeyframesCommand:
         rows = out.with_suffix(".csv").read_text().splitlines()
         assert sorted(int(r.split(",")[0]) for r in rows[1:]) == [1, 2, 3, 4]
 
+    def test_config_sits_beside_outputs_for_dotted_out(self, tmp_path):
+        make_video_dir(tmp_path / "vid", depth_frames())
+        assert cli.main(["keyframes", "--video", str(tmp_path / "vid"), "--k", "3",
+                         "--roi-side", "16", "--out", str(tmp_path / "kf.v2")]) == 0
+        assert (tmp_path / "kf.rpt1").exists() and (tmp_path / "kf.csv").exists()
+        cfg = json.loads((tmp_path / "kf.rpt1.config.json").read_text())
+        assert cfg["command"] == "keyframes"
+        assert not (tmp_path / "kf.v2.config.json").exists()
+
     def test_stack_is_what_the_std_stream_pools(self, tmp_path):
         frames = depth_frames(n=8)
         make_video_dir(tmp_path / "vid", frames)
@@ -160,6 +169,28 @@ class TestRankpoolExactCommand:
         payload = json.loads(out.read_text())
         assert abs(payload["r"][0] - 2.0) <= 1e-3
         assert payload["converged"] is True
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--step", "0"],
+            ["--step", "nan"],
+            ["--lam", "nan"],
+            ["--lam", "inf"],
+            ["--max-iter", "-1"],
+            ["--tol", "nan"],
+        ],
+    )
+    def test_bad_solver_parameters_exit_1(self, tmp_path, capsys, flags):
+        feat = tmp_path / "seq.rpt1"
+        write_feature_sequence(FeatureSequence(vectors=np.array([[0.0], [1.0]])), feat)
+        out = tmp_path / "rank.json"
+        code = cli.main(["rankpool-exact", "--features", str(feat), "--out", str(out), *flags])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert f"{flags[0][2:].replace('-', '_')} must be" in err["message"]
+        assert not out.exists()
 
 
 class TestErrorHandling:

@@ -1,9 +1,12 @@
 """Rank pooling against direct-summation and brute-force pair oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dynafuse.rankpool import (
+    RankVector,
     arp_coefficients,
     dynamic_feature,
     dynamic_image,
@@ -38,6 +41,48 @@ def arp_first_step(s: FeatureSequence) -> np.ndarray:
     q = time_average(s)
     t1_idx, t2_idx = np.triu_indices(len(s), k=1)
     return (q[t2_idx] - q[t1_idx]).sum(axis=0)
+
+
+def exact_rank_pool_oracle(s: FeatureSequence, lam, step=0.1, max_iter=10_000, tol=1e-8):
+    """The pairwise form of ``exact_rank_pool``: one (N(N-1)/2, d) row of
+    Q_t1 - Q_t2 per pair, and the subgradient sums the active rows.
+    Returns (r, iterations, final_objective, converged)."""
+    q = time_average(s)
+    n = len(s)
+    pair_scale = 2.0 / (n * (n - 1))
+    t1_idx, t2_idx = np.triu_indices(n, k=1)
+    diff = q[t1_idx] - q[t2_idx]
+
+    def objective(r):
+        scores = q @ r
+        hinge = np.maximum(1.0 - scores[t2_idx] + scores[t1_idx], 0.0).sum()
+        return 0.5 * lam * float(r @ r) + pair_scale * float(hinge)
+
+    r = np.zeros(s.dim)
+    obj = objective(r)
+    iterations, converged, cur_step = 0, False, step
+    for _ in range(max_iter):
+        scores = q @ r
+        active = (1.0 - scores[t2_idx] + scores[t1_idx]) > 0.0
+        grad = lam * r + pair_scale * diff[active].sum(axis=0)
+        accepted = False
+        while cur_step > 1e-16:
+            candidate = r - cur_step * grad
+            cand_obj = objective(candidate)
+            if cand_obj < obj:
+                accepted = True
+                break
+            cur_step *= 0.5
+        if not accepted:
+            converged = True
+            break
+        improvement = obj - cand_obj
+        r, obj = candidate, cand_obj
+        iterations += 1
+        if improvement < tol:
+            converged = True
+            break
+    return r, iterations, obj, converged
 
 
 def seq(vectors) -> FeatureSequence:
@@ -216,6 +261,65 @@ class TestExactRankPool:
     def test_too_short(self):
         with pytest.raises(ValueError, match="at least 2"):
             exact_rank_pool(seq([[1.0]]), lam=0.01)
+
+    def test_matches_pairwise_oracle(self):
+        """Per-frame active counts give the pairwise solver's iterates: the
+        same accept/reject path, and r and E equal up to reordered sums."""
+        rng = np.random.default_rng(50)
+        for lam in (1e-3, 0.01, 0.1, 1.0):
+            for _ in range(15):
+                n = int(rng.integers(2, 13))
+                d = int(rng.integers(1, 6))
+                s = seq(rng.standard_normal((n, d)))
+                r, iterations, objective, converged = exact_rank_pool_oracle(s, lam)
+                result = exact_rank_pool(s, lam=lam)
+                assert result.iterations == iterations
+                assert result.converged == converged
+                assert np.linalg.norm(result.r - r) <= 1e-12 * np.linalg.norm(r)
+                assert abs(result.final_objective - objective) <= 1e-12 * objective
+
+    def test_memory_is_linear_in_frames_times_dim(self):
+        """No per-pair (N(N-1)/2, d) array: the pairwise form would hold
+        11175 x 4000 float64 (358 MB) for this sequence."""
+        n, d = 150, 4000
+        s = seq(np.random.default_rng(51).standard_normal((n, d)))
+        tracemalloc.start()
+        try:
+            exact_rank_pool(s, lam=0.01, max_iter=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * d * 8
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lam": 0.0},
+            {"lam": float("nan")},
+            {"lam": float("inf")},
+            {"step": 0.0},
+            {"step": -0.1},
+            {"step": float("nan")},
+            {"max_iter": -1},
+            {"tol": -1e-8},
+            {"tol": float("nan")},
+        ],
+    )
+    def test_rejects_bad_parameters(self, kwargs):
+        """Rejected up front: a zero or NaN step would report converged=True
+        after no step, a NaN or infinite lam a NaN objective."""
+        with pytest.raises(ValueError, match="must be"):
+            exact_rank_pool(seq([[0.0], [1.0]]), **kwargs)
+
+    def test_max_iter_zero_is_not_converged(self):
+        result = exact_rank_pool(seq([[0.0], [1.0]]), lam=0.01, max_iter=0)
+        assert result.iterations == 0 and not result.converged
+        np.testing.assert_array_equal(result.r, [0.0])
+
+    def test_rank_vector_rejects_non_finite_objective(self):
+        with pytest.raises(ValueError, match="not finite"):
+            RankVector(r=np.zeros(1), lam=0.01, iterations=0,
+                       final_objective=float("nan"), converged=True)
 
 
 class TestArpFirstStep:
