@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -90,6 +91,17 @@ def _sequence_feature(root: Path, entry: dict, stream: str, feature_cfg: dict) -
         seq = tensorio.read_feature_sequence(root / entry["std_features"])
         return learn.pool_features(seq.vectors, strategy=feature_cfg.get("pool", "mean"))
     return _std_feature(_load_video_dir(root / entry["depth_dir"], entry), feature_cfg)
+
+
+def _check_feature_lengths(ids, features) -> None:
+    """Name the first sequence whose feature length differs from the first one's."""
+    want = len(features[0])
+    for seq_id, vec in zip(ids, features):
+        if len(vec) != want:
+            raise ValueError(
+                f"sequence {seq_id!r} has feature length {len(vec)}, "
+                f"but {ids[0]!r} has {want}"
+            )
 
 
 def _protocol_from_args(args) -> fusion_eval.SplitProtocol:
@@ -244,10 +256,9 @@ def cmd_train(args) -> int:
         "on_silhouette": not args.on_raw,
         "pool": args.pool,
     }
-    samples = [
-        (_sequence_feature(root, by_id[i], args.stream, feature_cfg), by_id[i]["class_id"])
-        for i in train_ids
-    ]
+    features = [_sequence_feature(root, by_id[i], args.stream, feature_cfg) for i in train_ids]
+    _check_feature_lengths(train_ids, features)
+    samples = [(f, by_id[i]["class_id"]) for f, i in zip(features, train_ids)]
     num_classes = int(manifest["config"]["num_classes"])
     cfg = learn.AdamConfig(
         learning_rate=args.learning_rate,
@@ -300,8 +311,9 @@ def cmd_predict(args) -> int:
     feature_cfg = sidecar.get("feature", {})
     ids = [e["id"] for e in entries]
     labels = [e["class_id"] for e in entries]
-    features = np.stack([_sequence_feature(root, e, stream, feature_cfg) for e in entries])
-    scores = learn.predict(model, features)
+    features = [_sequence_feature(root, e, stream, feature_cfg) for e in entries]
+    _check_feature_lengths(ids, features)
+    scores = learn.predict(model, np.stack(features))
     _write_scores_csv(out, ids, labels, scores)
     print(f"scored {len(ids)} sequences -> {out}")
     return 0
@@ -361,7 +373,9 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommand parser, built once per process; parsing does not change it."""
     parser = _Parser(prog="dynafuse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

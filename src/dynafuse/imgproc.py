@@ -84,12 +84,13 @@ class StructuringElement:
 
 
 def _as_plane(f) -> np.ndarray:
-    """Accept a single-channel Frame or a 2-D array; return the (H, W) plane."""
-    if isinstance(f, Frame):
-        if f.channels != 1:
-            raise ValueError(f"expected single-channel input, got {f.channels} channels")
-        return f.plane(0)
-    arr = np.asarray(f, dtype=np.float64)
+    """Accept a single-channel Frame or (1, H, W) array, or a 2-D array;
+    return the (H, W) plane."""
+    arr = f.data if isinstance(f, Frame) else np.asarray(f, dtype=np.float64)
+    if arr.ndim == 3:
+        if arr.shape[0] != 1:
+            raise ValueError(f"expected single-channel input, got {arr.shape[0]} channels")
+        arr = arr[0]
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={arr.ndim}")
     return arr
@@ -187,8 +188,9 @@ def closing(mask, se=None) -> np.ndarray:
     return erode(dilate(mask, se), se)
 
 
-def silhouette(depth: Frame) -> np.ndarray:
-    """Foreground mask of a depth frame: nonzero depth, then open + close (3x3)."""
+def silhouette(depth) -> np.ndarray:
+    """Foreground mask of a single-channel depth frame or plane: nonzero
+    depth, then open + close (3x3)."""
     plane = _as_plane(depth)
     mask = plane > 0.0
     se = StructuringElement.full(3)
@@ -245,24 +247,28 @@ def _bilinear_resize_plane(img: np.ndarray, side: int) -> np.ndarray:
     return top + fy * (bot - top)
 
 
-def roi_resize(f: Frame, mask, side: int = 227) -> Frame:
-    """Crop to the mask's bounding box, zero-pad to square, resize to side.
+def roi_resize(f, mask, side: int = 227) -> Frame:
+    """Crop a Frame or (C, H, W) array to the mask's bounding box,
+    zero-pad to square, resize to side.
 
     The shorter axis is padded symmetrically (the odd leftover pixel goes
     to the bottom/right); resizing is corner-aligned bilinear.
     """
     if side < 1:
         raise ValueError("side must be >= 1")
+    data = f.data if isinstance(f, Frame) else np.asarray(f, dtype=np.float64)
+    if data.ndim != 3:
+        raise ValueError(f"expected a (C, H, W) image, got ndim={data.ndim}")
     m = _as_binary(mask)
-    if m.shape != (f.height, f.width):
-        raise ValueError(f"mask shape {m.shape} does not match frame {(f.height, f.width)}")
+    if m.shape != data.shape[1:]:
+        raise ValueError(f"mask shape {m.shape} does not match frame {data.shape[1:]}")
     rows = np.flatnonzero(m.any(axis=1))
     cols = np.flatnonzero(m.any(axis=0))
     if rows.size == 0:
         raise ValueError("empty mask: nothing to crop")
     r0, r1 = int(rows[0]), int(rows[-1])
     c0, c1 = int(cols[0]), int(cols[-1])
-    crop = f.data[:, r0 : r1 + 1, c0 : c1 + 1]
+    crop = data[:, r0 : r1 + 1, c0 : c1 + 1]
     ch, cw = crop.shape[1], crop.shape[2]
     target = max(ch, cw)
     pad_r = target - ch
@@ -273,5 +279,5 @@ def roi_resize(f: Frame, mask, side: int = 227) -> Frame:
         (pad_c // 2, pad_c - pad_c // 2),
     )
     square = np.pad(crop, pads, mode="constant")
-    out = np.stack([_bilinear_resize_plane(square[c], side) for c in range(f.channels)])
-    return Frame(height=side, width=side, channels=f.channels, data=out)
+    out = np.stack([_bilinear_resize_plane(plane, side) for plane in square])
+    return Frame.from_array(out)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import imgproc
 from .imgproc import SsimParams
-from .tensorio import Frame, VideoSequence
+from .tensorio import VideoSequence
 
 
 @dataclass(frozen=True)
@@ -57,21 +57,21 @@ def preprocess_video(
     comes out empty are dropped; their 1-based indices are returned
     alongside the processed video.
     """
-    kept: list[Frame] = []
+    kept: list[np.ndarray] = []
     dropped: list[int] = []
-    for i, frame in enumerate(video.frames, start=1):
-        mask = imgproc.silhouette(frame)
+    for i, depth in enumerate(video.data, start=1):
+        mask = imgproc.silhouette(depth)
         try:
             mask = imgproc.largest_component(mask)
         except ValueError:  # empty silhouette
             dropped.append(i)
             continue
-        source = Frame.from_array(mask.astype(np.float64)) if on_silhouette else frame
-        kept.append(imgproc.roi_resize(source, mask, side=side))
+        source = mask[None] if on_silhouette else depth
+        kept.append(imgproc.roi_resize(source, mask, side=side).data)
     if not kept:
         raise ValueError("all frames produced empty silhouettes")
-    processed = VideoSequence(
-        frames=tuple(kept),
+    processed = VideoSequence.from_frames(
+        kept,
         class_id=video.class_id,
         subject_id=video.subject_id,
         view_id=video.view_id,
@@ -89,10 +89,8 @@ def ssii_vector(video: VideoSequence, params: SsimParams | None = None) -> SsiiV
     n = len(video)
     if n < 2:
         raise ValueError(f"need at least 2 frames, got {n}")
-    values = [
-        (i, imgproc.ssim(video.frames[i - 1], video.frames[i], params).global_index)
-        for i in range(1, n)
-    ]
+    data = video.data
+    values = [(i, imgproc.ssim(data[i - 1], data[i], params).global_index) for i in range(1, n)]
     values.sort(key=lambda e: (e[1], e[0]))
     return SsiiVector(entries=tuple(values))
 
@@ -182,7 +180,7 @@ def keyframe_stack(
     skipped = set(dropped)
     kept_raw = [i for i in range(1, len(video) + 1) if i not in skipped]
     return KeyframeStack(
-        frames=np.stack([processed.frames[i - 1].plane(0) for i in picked]),
+        frames=processed.data[np.subtract(picked, 1), 0],
         frame_indices=tuple(kept_raw[i - 1] for i in picked),
         dropped_indices=tuple(dropped),
         ssii=vec,

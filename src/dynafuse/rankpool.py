@@ -99,12 +99,8 @@ def arp_coefficients(n: int) -> ArpCoefficients:
 
 def dynamic_image(video: VideoSequence) -> DynamicImage:
     """Pool a video into its dynamic image."""
-    n = len(video)
-    if n == 0:
-        raise ValueError("empty video")
-    gamma = arp_coefficients(n).gamma
-    stack = np.stack([f.data for f in video.frames])  # (n, C, H, W)
-    raw = np.tensordot(gamma, stack, axes=(0, 0))
+    gamma = arp_coefficients(len(video)).gamma
+    raw = np.tensordot(gamma, video.data, axes=(0, 0))
     display = np.empty_like(raw)
     for c in range(raw.shape[0]):
         lo = raw[c].min()
@@ -113,13 +109,7 @@ def dynamic_image(video: VideoSequence) -> DynamicImage:
             display[c] = 0.5
         else:
             display[c] = (raw[c] - lo) / (hi - lo)
-    frame = Frame(
-        height=video.frame_shape[1],
-        width=video.frame_shape[2],
-        channels=video.frame_shape[0],
-        data=display,
-    )
-    return DynamicImage(frame=frame, raw=raw)
+    return DynamicImage(frame=Frame.from_array(display), raw=raw)
 
 
 def dynamic_feature(seq: FeatureSequence) -> np.ndarray:
@@ -138,7 +128,7 @@ def time_average(seq: FeatureSequence) -> np.ndarray:
         raise ValueError("empty feature sequence")
     sums = np.cumsum(seq.vectors, axis=0)
     counts = np.arange(1, n + 1, dtype=np.float64)[:, None]
-    return sums / counts
+    return np.divide(sums, counts, out=sums)  # in place: one (N, d) array at peak
 
 
 def _evaluate(

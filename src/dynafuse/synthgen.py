@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensorio import Frame, VideoSequence, write_frame
+from .tensorio import VideoSequence, write_frame
 
 _SLIDE_RX, _SLIDE_RY = 0.16, 0.11  # shared by classes 0 and 2
 _PULSE_R = 0.13
@@ -180,13 +180,13 @@ def _render_pair(cfg: SynthConfig, class_id: int, subject_id: int, view_id: int)
         if cfg.noise_sigma > 0:
             rgb = rgb + cfg.noise_sigma * noise_rng.standard_normal(rgb.shape)
         rgb = np.clip(rgb, 0.0, 1.0)
-        rgb_frames.append(Frame.from_array(rgb))
-        depth_frames.append(Frame.from_array(mask.astype(np.float64)))
+        rgb_frames.append(rgb)
+        depth_frames.append(mask[None])
     meta = dict(class_id=class_id, subject_id=subject_id, view_id=view_id)
     return SequencePair(
         seq_id=f"c{class_id}_s{subject_id}_v{view_id}",
-        rgb=VideoSequence(frames=tuple(rgb_frames), **meta),
-        depth=VideoSequence(frames=tuple(depth_frames), **meta),
+        rgb=VideoSequence.from_frames(rgb_frames, **meta),
+        depth=VideoSequence.from_frames(depth_frames, **meta),
     )
 
 

@@ -1,5 +1,9 @@
 """Core frame/sequence types and the binary file formats shared by all modules.
 
+A ``VideoSequence`` is one frozen float64 array of shape (n, C, H, W),
+decoded and validated once; its ``frames`` are zero-copy ``Frame`` views
+of that array.
+
 Two on-disk formats are supported:
 
 * binary portable graymap/pixmap (P5/P6) for single frames, and
@@ -11,9 +15,10 @@ Two on-disk formats are supported:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -85,33 +90,56 @@ class Frame:
 class VideoSequence:
     """Temporally ordered frames with class/subject/view metadata.
 
-    Frame order is temporal order; formulas downstream index frames
-    1-based.
+    ``data`` is one frozen float64 array of shape (n, C, H, W) with
+    n >= 1 and C in {1, 3}.  Frame order is temporal order; formulas
+    downstream index frames 1-based.
     """
 
-    frames: tuple[Frame, ...]
+    data: np.ndarray
     class_id: int = 0
     subject_id: int = 0
     view_id: int = 0
     fps_hint: float | None = None
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        object.__setattr__(self, "frames", frames)
-        if any(f.shape != frames[0].shape for f in frames[1:]):
-            raise ValueError("all frames of a sequence must share one shape")
+        data = np.asarray(self.data, dtype=np.float64)
+        if data.ndim != 4:
+            raise ValueError(f"video data must be 4-D (n, C, H, W), got ndim={data.ndim}")
+        n, c, h, w = data.shape
+        if n < 1:
+            raise ValueError("empty video: a sequence needs at least one frame")
+        if c not in (1, 3):
+            raise ValueError(f"channels must be 1 or 3, got {c}")
+        if h < 1 or w < 1:
+            raise ValueError("frame dimensions must be positive")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("video data contains non-finite values")
         for name in ("class_id", "subject_id", "view_id"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        object.__setattr__(self, "data", _freeze(data))
+
+    @classmethod
+    def from_frames(cls, frames: Iterable, **meta) -> "VideoSequence":
+        """Stack ``Frame`` objects or (C, H, W) arrays of one shape into a video."""
+        planes = [np.asarray(f.data if isinstance(f, Frame) else f, np.float64) for f in frames]
+        if not planes:
+            raise ValueError("empty video: a sequence needs at least one frame")
+        if any(p.shape != planes[0].shape for p in planes[1:]):
+            raise ValueError("all frames of a sequence must share one shape")
+        return cls(np.stack(planes), **meta)
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return self.data.shape[0]
 
     @property
     def frame_shape(self) -> tuple[int, int, int]:
-        if not self.frames:
-            raise ValueError("empty video has no frame shape")
-        return self.frames[0].shape
+        return self.data.shape[1:]
+
+    @functools.cached_property
+    def frames(self) -> tuple[Frame, ...]:
+        """Zero-copy per-frame views of ``data``, built on first use."""
+        return tuple(Frame.from_array(d) for d in self.data)
 
 
 @dataclass(frozen=True)
@@ -187,14 +215,15 @@ class _Tokenizer:
         return self.pos + 1
 
 
-def read_frame(path, format: str | None = None) -> Frame:
-    """Read a binary P5 graymap or P6 pixmap into a [0, 1] intensity frame.
+def _decode(blob: bytes, format: str | None = None) -> tuple[np.ndarray, int]:
+    """Parse a binary P5 graymap or P6 pixmap.
 
-    ``format`` may name the expected format ('pgm'/'portable-graymap' or
+    Returns the integer samples as a (C, H, W) view of the interleaved
+    (H, W, C) payload, and the maxval they scale by.  ``format`` may name
+    the expected format ('pgm'/'portable-graymap' or
     'ppm'/'portable-pixmap'); a mismatch with the file magic is a parse
     error.  With ``format=None`` the magic decides.
     """
-    blob = Path(path).read_bytes()
     magic = blob[:2]
     if magic not in _FORMAT_BY_MAGIC:
         raise ValueError(f"parse error at byte 0: bad magic {magic!r}, expected P5 or P6")
@@ -219,16 +248,22 @@ def read_frame(path, format: str | None = None) -> Frame:
     count = width * height * channels
     dtype = np.dtype(np.uint8) if maxval == 255 else np.dtype("<u2")
     need = count * dtype.itemsize
-    payload = blob[start : start + need]
-    if len(payload) < need:
+    have = len(blob) - start
+    if have < need:
         raise ValueError(
-            f"parse error at byte {start + len(payload)}: "
-            f"payload truncated ({len(payload)} of {need} bytes)"
+            f"parse error at byte {len(blob)}: payload truncated ({have} of {need} bytes)"
         )
-    raw = np.frombuffer(payload, dtype=dtype).astype(np.float64)
-    # interleaved (H, W, C) on disk -> planar (C, H, W)
-    data = raw.reshape(height, width, channels).transpose(2, 0, 1) / float(maxval)
-    return Frame(height=height, width=width, channels=channels, data=data)
+    raw = np.frombuffer(blob, dtype=dtype, count=count, offset=start)
+    return raw.reshape(height, width, channels).transpose(2, 0, 1), maxval
+
+
+def read_frame(path, format: str | None = None) -> Frame:
+    """Read a binary P5 graymap or P6 pixmap into a [0, 1] intensity frame.
+
+    ``format`` may name the expected format (see ``_decode``).
+    """
+    raw, maxval = _decode(Path(path).read_bytes(), format)
+    return Frame.from_array(np.ascontiguousarray(raw) / float(maxval))
 
 
 def write_frame(frame: Frame, path, format: str, maxval: int = 255) -> None:
@@ -343,10 +378,19 @@ def read_feature_sequence(path) -> FeatureSequence:
 def video_from_frame_files(
     paths: Sequence, class_id: int = 0, subject_id: int = 0, view_id: int = 0
 ) -> VideoSequence:
-    """Load an ordered list of P5/P6 files as one video."""
-    frames = tuple(read_frame(p) for p in paths)
-    if not frames:
+    """Load an ordered list of P5/P6 files as one video.
+
+    The (n, C, H, W) array is allocated from the first file's header and
+    each file is decoded straight into its slot; maxval is per file.
+    """
+    if not paths:
         raise ValueError("cannot build a video from zero frame files")
-    return VideoSequence(
-        frames=frames, class_id=class_id, subject_id=subject_id, view_id=view_id
-    )
+    data = None
+    for i, path in enumerate(paths):
+        raw, maxval = _decode(Path(path).read_bytes())
+        if data is None:
+            data = np.empty((len(paths),) + raw.shape)
+        elif raw.shape != data.shape[1:]:
+            raise ValueError("all frames of a sequence must share one shape")
+        np.divide(np.ascontiguousarray(raw), float(maxval), out=data[i])
+    return VideoSequence(data, class_id=class_id, subject_id=subject_id, view_id=view_id)

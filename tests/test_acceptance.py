@@ -113,12 +113,12 @@ def test_criterion_05_keyframe_determinism():
     same[4:10, 4:10] = 1.0
     different = np.zeros((16, 16))
     different[8:12, 9:13] = 1.0
-    video = VideoSequence(
-        frames=tuple([Frame.from_array(same)] * 10 + [Frame.from_array(different)])
+    video = VideoSequence.from_frames(
+        tuple([Frame.from_array(same)] * 10 + [Frame.from_array(different)])
     )
     for _ in range(5):
         assert select_keyframes(video, k=1).frame_indices == (10,)
-    constant = VideoSequence(frames=(Frame.from_array(same),) * 8)
+    constant = VideoSequence.from_frames((Frame.from_array(same),) * 8)
     for k in (1, 3, 5):
         assert select_keyframes(constant, k=k).frame_indices == tuple(range(1, k + 1))
     print("\n[criterion 5] PASS: frame 10 always first; constant video picks 1..k")

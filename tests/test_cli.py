@@ -1,6 +1,7 @@
 """Subcommand wiring: exit codes, emitted files, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +192,91 @@ class TestRankpoolExactCommand:
         assert err["error"] == "ValueError"
         assert f"{flags[0][2:].replace('-', '_')} must be" in err["message"]
         assert not out.exists()
+
+
+def tiny_corpus(tmp_path, frames=4, side=16):
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--out", str(corpus), "--subjects", "2",
+                     "--frames", str(frames), "--frame-side", str(side)]) == 0
+    return corpus
+
+
+class TestParserReuse:
+    def test_repeated_main_calls_match_a_fresh_parser(self, tmp_path, monkeypatch):
+        """One cached parser serves every call: a list option given in one
+        call does not carry into the next, and an argument error leaves
+        nothing behind."""
+        assert cli.build_parser() is cli.build_parser()
+        corpus = tiny_corpus(tmp_path)
+        manifest = str(corpus / "manifest.json")
+        model = tmp_path / "model"
+        assert cli.main(["train", "--manifest", manifest, "--stream", "motion",
+                         "--train-views", "1,2", "--test-views", "3", "--epochs", "2",
+                         "--model-out", str(model)]) == 0
+
+        def calls(out_dir):
+            base = ["predict", "--model", str(model), "--manifest", manifest]
+            return [
+                base + ["--views", "3", "--out", str(out_dir / "a.csv")],
+                base + ["--out", str(out_dir / "b.csv")],
+                base + ["--views", "x", "--out", str(out_dir / "c.csv")],
+                base + ["--views", "3", "--out", str(out_dir / "d.csv")],
+            ]
+
+        def run(out_dir):
+            out_dir.mkdir()
+            results = []
+            for argv in calls(out_dir):
+                code = cli.main(argv)
+                out = Path(argv[-1])
+                results.append((code, out.read_text() if out.exists() else None))
+            return results
+
+        fresh_parser = cli.build_parser.__wrapped__
+        cached = run(tmp_path / "cached")
+        assert [code for code, _ in cached] == [0, 0, 1, 0]
+        assert len(cached[0][1].splitlines()) == 1 + 6  # view 3 only
+        assert len(cached[1][1].splitlines()) == 1 + 18  # every view
+        assert cached[3] == cached[0]
+        for argv in calls(tmp_path / "cached"):
+            if "x" not in argv:
+                assert cli.build_parser().parse_args(argv) == fresh_parser().parse_args(argv)
+
+        monkeypatch.setattr(cli, "build_parser", fresh_parser)
+        assert run(tmp_path / "fresh") == cached
+
+
+class TestConcatLengthMismatch:
+    def blank_depth_frames(self, corpus, seq_id, count, side=32):
+        for t in range(count):
+            write_frame(Frame.from_array(np.zeros((side, side))),
+                        corpus / seq_id / "depth" / f"{t:04d}.pgm", "pgm")
+
+    def test_short_sequence_is_named(self, tmp_path, capsys):
+        """With --pool concat, a video that keeps fewer than k frames gives
+        a shorter vector; train and predict name it and both lengths."""
+        corpus = tiny_corpus(tmp_path, frames=8, side=32)
+        manifest = str(corpus / "manifest.json")
+        train = ["train", "--manifest", manifest, "--stream", "std", "--pool", "concat",
+                 "--k", "6", "--roi-side", "16", "--epochs", "2",
+                 "--train-views", "1,2", "--test-views", "3"]
+        self.blank_depth_frames(corpus, "c1_s1_v3", 4)  # 4 kept frames < k
+        assert cli.main(train + ["--model-out", str(tmp_path / "model")]) == 0
+        capsys.readouterr()
+        code = cli.main(["predict", "--model", str(tmp_path / "model"), "--manifest", manifest,
+                         "--views", "3", "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "'c1_s1_v3'" in err["message"]
+        assert "1024" in err["message"] and "1536" in err["message"]
+        assert not (tmp_path / "s.csv").exists()
+
+        self.blank_depth_frames(corpus, "c2_s0_v1", 5)
+        assert cli.main(train + ["--model-out", str(tmp_path / "model2")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "'c2_s0_v1'" in err["message"]
+        assert "768" in err["message"] and "1536" in err["message"]
 
 
 class TestErrorHandling:

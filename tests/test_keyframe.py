@@ -20,7 +20,7 @@ def block_frame(side=16, top=4, left=4, h=6, w=6):
 
 
 def make_video(frames):
-    return VideoSequence(frames=tuple(frames))
+    return VideoSequence.from_frames(tuple(frames))
 
 
 def eleven_frame_video():

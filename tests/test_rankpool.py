@@ -13,7 +13,14 @@ from dynafuse.rankpool import (
     exact_rank_pool,
     time_average,
 )
-from dynafuse.tensorio import FeatureSequence, Frame, VideoSequence
+from dynafuse.tensorio import (
+    FeatureSequence,
+    Frame,
+    VideoSequence,
+    read_frame,
+    video_from_frame_files,
+    write_frame,
+)
 
 
 def gamma_oracle(n: int) -> np.ndarray:
@@ -131,7 +138,7 @@ class TestArpCoefficients:
 class TestDynamicImage:
     def constant_video(self, value, n=5):
         frame = Frame.from_array(np.full((4, 6), value))
-        return VideoSequence(frames=(frame,) * n)
+        return VideoSequence.from_frames((frame,) * n)
 
     def test_constant_video_raw_zero(self):
         di = dynamic_image(self.constant_video(0.7))
@@ -139,8 +146,8 @@ class TestDynamicImage:
         np.testing.assert_allclose(di.frame.data, 0.5)
 
     def test_two_frame_hand_value(self):
-        v = VideoSequence(
-            frames=(
+        v = VideoSequence.from_frames(
+            (
                 Frame.from_array(np.zeros((3, 3))),
                 Frame.from_array(np.ones((3, 3))),
             )
@@ -150,14 +157,14 @@ class TestDynamicImage:
     def test_shape_contract(self):
         rng = np.random.default_rng(41)
         frames = tuple(Frame.from_array(rng.random((3, 5, 4))) for _ in range(6))
-        di = dynamic_image(VideoSequence(frames=frames))
+        di = dynamic_image(VideoSequence.from_frames(frames))
         assert di.raw.shape == (3, 5, 4)
         assert di.frame.shape == (3, 5, 4)
 
     def test_display_normalized(self):
         rng = np.random.default_rng(42)
         frames = tuple(Frame.from_array(rng.random((6, 6))) for _ in range(4))
-        di = dynamic_image(VideoSequence(frames=frames))
+        di = dynamic_image(VideoSequence.from_frames(frames))
         assert di.frame.data.min() >= 0.0 and di.frame.data.max() <= 1.0
 
     def test_linearity(self):
@@ -169,15 +176,35 @@ class TestDynamicImage:
         a, b = 0.3, 1.7
 
         def video(stack):
-            return VideoSequence(frames=tuple(Frame.from_array(f) for f in stack))
+            return VideoSequence.from_frames(tuple(Frame.from_array(f) for f in stack))
 
         lhs = dynamic_image(video(a * stack1 + b * stack2)).raw
         rhs = a * dynamic_image(video(stack1)).raw + b * dynamic_image(video(stack2)).raw
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
+    def test_pools_the_loaded_array_without_a_copy(self, tmp_path):
+        """Loading a 64-frame RGB video and pooling it peaks at about one
+        (n, C, H, W) float64 array, and the result equals pooling the
+        stacked per-file frames."""
+        rng = np.random.default_rng(44)
+        n, c, h, w = 64, 3, 128, 128
+        paths = [tmp_path / f"{t:04d}.ppm" for t in range(n)]
+        for path in paths:
+            write_frame(Frame.from_array(rng.random((c, h, w))), path, "ppm")
+        tracemalloc.start()
+        try:
+            raw = dynamic_image(video_from_frame_files(paths)).raw
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * c * h * w * 8
+        stack = np.stack([read_frame(path).data for path in paths])
+        expected = np.tensordot(arp_coefficients(n).gamma, stack, axes=(0, 0))
+        np.testing.assert_array_equal(raw, expected)
+
     def test_empty_video(self):
         with pytest.raises(ValueError, match="empty"):
-            dynamic_image(VideoSequence(frames=()))
+            dynamic_image(VideoSequence.from_frames(()))
 
 
 class TestDynamicFeature:
@@ -290,6 +317,19 @@ class TestExactRankPool:
         finally:
             tracemalloc.stop()
         assert peak < 4 * n * d * 8
+
+    def test_running_means_reuse_the_cumsum_buffer(self):
+        """time_average divides its cumulative sums in place, so a solve
+        holds one (n, d) float64 array beside its input, not two."""
+        n, d = 200, 12288
+        s = seq(np.random.default_rng(52).standard_normal((n, d)))
+        tracemalloc.start()
+        try:
+            exact_rank_pool(s, lam=0.01, max_iter=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * d * 8
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,7 +1,12 @@
 """File format round trips and boundary validation for frames and tensors."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynafuse.tensorio import (
     FeatureSequence,
@@ -10,10 +15,14 @@ from dynafuse.tensorio import (
     read_frame,
     read_feature_sequence,
     read_tensor,
+    video_from_frame_files,
     write_feature_sequence,
     write_frame,
     write_tensor,
 )
+
+# deterministic and bounded, so the property tests add about a second
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 class TestFrameType:
@@ -40,7 +49,153 @@ class TestFrameType:
         a = Frame.from_array(np.zeros((2, 2)))
         b = Frame.from_array(np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            VideoSequence(frames=(a, b))
+            VideoSequence.from_frames((a, b))
+
+
+class TestVideoSequence:
+    def test_frames_are_cached_read_only_views(self):
+        video = VideoSequence(np.random.default_rng(1).random((3, 1, 4, 5)), view_id=2)
+        assert len(video) == 3 and video.frame_shape == (1, 4, 5)
+        assert video.frames is video.frames
+        for i, frame in enumerate(video.frames):
+            assert np.shares_memory(frame.data, video.data)
+            np.testing.assert_array_equal(frame.data, video.data[i])
+        with pytest.raises(ValueError):
+            video.data[0, 0, 0, 0] = 1.0
+
+    def test_loader_rejects_mixed_shapes(self, tmp_path):
+        write_frame(Frame.from_array(np.zeros((2, 2))), tmp_path / "a.pgm", "pgm")
+        write_frame(Frame.from_array(np.zeros((3, 2))), tmp_path / "b.pgm", "pgm")
+        with pytest.raises(ValueError, match="share one shape"):
+            video_from_frame_files([tmp_path / "a.pgm", tmp_path / "b.pgm"])
+
+    def test_loader_rejects_zero_files(self):
+        with pytest.raises(ValueError, match="zero frame files"):
+            video_from_frame_files([])
+
+    @PROPERTY
+    @given(
+        n=st.integers(1, 3),
+        c=st.integers(1, 4),
+        h=st.integers(1, 4),
+        w=st.integers(1, 4),
+        bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_validation(self, n, c, h, w, bad, seed):
+        """The constructor and from_frames accept exactly the finite videos
+        with 1 or 3 channels; from_frames also rejects mixed shapes."""
+        rng = np.random.default_rng(seed)
+        data = rng.random((n, c, h, w))
+        if bad is not None:
+            data.flat[rng.integers(data.size)] = bad
+        builds = (lambda: VideoSequence(data.copy()), lambda: VideoSequence.from_frames(list(data)))
+        for build in builds:
+            if c in (1, 3) and bad is None:
+                assert build().data.tobytes() == data.tobytes()
+            else:
+                with pytest.raises(ValueError):
+                    build()
+        taller = rng.random((c, h + 1, w))
+        with pytest.raises(ValueError, match="share one shape"):
+            VideoSequence.from_frames([*data, taller])
+        with pytest.raises(ValueError):
+            VideoSequence([*data, taller])
+
+
+def _blob(fmt: str, h: int, w: int, maxval: int, seed: int) -> bytes:
+    channels = 1 if fmt == "pgm" else 3
+    dtype = np.uint8 if maxval == 255 else np.dtype("<u2")
+    payload = np.random.default_rng(seed).integers(0, maxval + 1, (h, w, channels)).astype(dtype)
+    magic = "P5" if fmt == "pgm" else "P6"
+    return f"{magic}\n{w} {h}\n{maxval}\n".encode("ascii") + payload.tobytes()
+
+
+def _both_readers(blob: bytes):
+    """Read one file with read_frame and with video_from_frame_files.
+
+    Returns (frame data, video data), None for a reader that raised
+    ValueError; any other exception fails the calling test.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.pnm"
+        path.write_bytes(blob)
+        results = []
+        readers = (lambda: read_frame(path).data, lambda: video_from_frame_files([path]).data[0])
+        for read in readers:
+            try:
+                results.append(read())
+            except ValueError:
+                results.append(None)
+    return tuple(results)
+
+
+blob_specs = st.builds(
+    _blob,
+    fmt=st.sampled_from(["pgm", "ppm"]),
+    h=st.integers(1, 5),
+    w=st.integers(1, 5),
+    maxval=st.sampled_from([255, 65535]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestDecoderProperties:
+    @PROPERTY
+    @given(
+        fmt=st.sampled_from(["pgm", "ppm"]),
+        h=st.integers(1, 6),
+        w=st.integers(1, 6),
+        maxvals=st.lists(st.sampled_from([255, 65535]), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(fmt="pgm", h=3, w=2, maxvals=[255, 65535, 255], seed=0)
+    @example(fmt="ppm", h=2, w=3, maxvals=[65535, 255], seed=1)
+    def test_video_equals_stacked_frames(self, fmt, h, w, maxvals, seed):
+        """Loading a video decodes each file bit for bit as read_frame does,
+        with maxval taken per file."""
+        rng = np.random.default_rng(seed)
+        channels = 1 if fmt == "pgm" else 3
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / f"{t:04d}.{fmt}" for t in range(len(maxvals))]
+            for path, maxval in zip(paths, maxvals):
+                frame = Frame.from_array(rng.random((channels, h, w)))
+                write_frame(frame, path, fmt, maxval=maxval)
+            video = video_from_frame_files(paths)
+            stacked = np.stack([read_frame(path).data for path in paths])
+        assert video.data.dtype == stacked.dtype == np.float64
+        assert video.data.shape == stacked.shape
+        assert video.data.tobytes() == stacked.tobytes()
+
+    @PROPERTY
+    @given(blob=blob_specs, cut=st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncated_file_raises_value_error(self, blob, cut):
+        frame, video = _both_readers(blob[: int(cut * len(blob))])
+        assert frame is None and video is None
+
+    @PROPERTY
+    @given(
+        blob=blob_specs,
+        edits=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 255)), min_size=1, max_size=4),
+    )
+    def test_fuzzed_header_raises_only_value_error(self, blob, edits):
+        mutable = bytearray(blob)
+        header_len = blob.index(b"\n", blob.index(b"\n", 3) + 1) + 1
+        for pos, value in edits:
+            mutable[pos % header_len] = value
+        frame, video = _both_readers(bytes(mutable))
+        assert (frame is None) == (video is None)
+        if frame is not None:
+            assert frame.tobytes() == video.tobytes()
+
+    @PROPERTY
+    @given(
+        prefix=st.sampled_from([b"", b"P5", b"P6", b"P5\n", b"P6 3 2 "]),
+        tail=st.binary(max_size=48),
+    )
+    def test_arbitrary_bytes_raise_only_value_error(self, prefix, tail):
+        frame, video = _both_readers(prefix + tail)
+        assert (frame is None) == (video is None)
 
 
 class TestGraymapPixmap:
