@@ -2,7 +2,6 @@
 
 from .tensorio import (
     FeatureSequence,
-    Frame,
     VideoSequence,
     read_frame,
     read_tensor,

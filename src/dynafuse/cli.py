@@ -114,6 +114,19 @@ def _protocol_from_args(args) -> fusion_eval.SplitProtocol:
     return fusion_eval.SplitProtocol.cross_subject(args.train_subjects, args.test_subjects)
 
 
+def _recorded_test_side(entries: list[dict], sidecar: dict) -> list[dict]:
+    """The entries on the test side of the model's recorded protocol; unlike
+    ``make_splits``, this needs no training entries in the manifest."""
+    record = sidecar.get("protocol")
+    if not record:
+        raise ValueError("model.json records no protocol: pass --views or --subjects")
+    key = "views" if record["kind"] == "cross_view" else "subjects"
+    sides = {f"{side}_{key}": frozenset(record[side]) for side in ("train", "test")}
+    protocol = fusion_eval.SplitProtocol(kind=record["kind"], **sides)
+    test_side = protocol.sides()[1]
+    return [e for e in entries if protocol.key_of(e) in test_side]
+
+
 # ---------------------------------------------------------------------------
 # Score CSV files
 # ---------------------------------------------------------------------------
@@ -215,10 +228,8 @@ def cmd_encode_di(args) -> int:
         },
         out.with_suffix(".rpt1"),
     )
-    if di.frame.channels == 3:
-        tensorio.write_frame(di.frame, out.with_suffix(".ppm"), "ppm")
-    else:
-        tensorio.write_frame(di.frame, out.with_suffix(".pgm"), "pgm")
+    fmt = "ppm" if di.frame.shape[0] == 3 else "pgm"
+    tensorio.write_frame(di.frame, out.with_suffix("." + fmt), fmt)
     print(f"dynamic image -> {out.with_suffix('.rpt1')}")
     return 0
 
@@ -304,6 +315,8 @@ def cmd_predict(args) -> int:
         entries = [e for e in entries if e["view_id"] in set(args.views)]
     if args.subjects:
         entries = [e for e in entries if e["subject_id"] in set(args.subjects)]
+    if not (args.views or args.subjects):
+        entries = _recorded_test_side(entries, sidecar)
     if not entries:
         raise ValueError("no sequences match the requested filter")
     entries = sorted(entries, key=lambda e: e["id"])
@@ -450,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="score sequences with a trained model")
     p.add_argument("--model", required=True, help="model directory")
     p.add_argument("--manifest", required=True, help="corpus manifest.json")
-    p.add_argument("--views", type=_int_list, default=[], help="restrict to these view ids")
-    p.add_argument("--subjects", type=_int_list, default=[], help="restrict to these subject ids")
+    p.add_argument("--views", type=_int_list, default=[], help="views (default: test side)")
+    p.add_argument("--subjects", type=_int_list, default=[], help="subjects (default: test side)")
     p.add_argument("--out", required=True, help="output scores CSV")
     p.set_defaults(func=cmd_predict)
 

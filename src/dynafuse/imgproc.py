@@ -11,6 +11,9 @@ term computed from Gaussian-weighted local moments:
 The global index is the mean of the local map.  Depth silhouettes are
 insensitive to luminance/contrast, so the default exponents damp L and C
 (alpha = beta = 0.5) and keep the structure term linear (gamma_exp = 1).
+
+Images are plain (C, H, W) arrays, as sliced from a video's (n, C, H, W)
+array; the single-channel functions also take an (H, W) plane.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-
-from .tensorio import Frame
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,8 @@ class StructuringElement:
 
 
 def _as_plane(f) -> np.ndarray:
-    """Accept a single-channel Frame or (1, H, W) array, or a 2-D array;
-    return the (H, W) plane."""
-    arr = f.data if isinstance(f, Frame) else np.asarray(f, dtype=np.float64)
+    """Accept a (1, H, W) or (H, W) array; return the (H, W) plane."""
+    arr = np.asarray(f, dtype=np.float64)
     if arr.ndim == 3:
         if arr.shape[0] != 1:
             raise ValueError(f"expected single-channel input, got {arr.shape[0]} channels")
@@ -247,16 +247,16 @@ def _bilinear_resize_plane(img: np.ndarray, side: int) -> np.ndarray:
     return top + fy * (bot - top)
 
 
-def roi_resize(f, mask, side: int = 227) -> Frame:
-    """Crop a Frame or (C, H, W) array to the mask's bounding box,
-    zero-pad to square, resize to side.
+def roi_resize(f, mask, side: int = 227) -> np.ndarray:
+    """Crop a (C, H, W) array to the mask's bounding box, zero-pad to
+    square, resize to side; returns a (C, side, side) array.
 
     The shorter axis is padded symmetrically (the odd leftover pixel goes
     to the bottom/right); resizing is corner-aligned bilinear.
     """
     if side < 1:
         raise ValueError("side must be >= 1")
-    data = f.data if isinstance(f, Frame) else np.asarray(f, dtype=np.float64)
+    data = np.asarray(f, dtype=np.float64)
     if data.ndim != 3:
         raise ValueError(f"expected a (C, H, W) image, got ndim={data.ndim}")
     m = _as_binary(mask)
@@ -279,5 +279,4 @@ def roi_resize(f, mask, side: int = 227) -> Frame:
         (pad_c // 2, pad_c - pad_c // 2),
     )
     square = np.pad(crop, pads, mode="constant")
-    out = np.stack([_bilinear_resize_plane(plane, side) for plane in square])
-    return Frame.from_array(out)
+    return np.stack([_bilinear_resize_plane(plane, side) for plane in square])

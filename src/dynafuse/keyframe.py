@@ -67,7 +67,7 @@ def preprocess_video(
             dropped.append(i)
             continue
         source = mask[None] if on_silhouette else depth
-        kept.append(imgproc.roi_resize(source, mask, side=side).data)
+        kept.append(imgproc.roi_resize(source, mask, side=side))
     if not kept:
         raise ValueError("all frames produced empty silhouettes")
     processed = VideoSequence.from_frames(

@@ -18,7 +18,9 @@ collapses to content-independent per-frame coefficients
 
     gamma_t = sum_{i=t}^{n} (2 i - n - 1) / i
 
-so a video pools into a single weighted sum: the dynamic image.
+so a video pools into a single weighted sum: the dynamic image.  It is
+one contraction of gamma with the video's (n, C, H, W) array and comes
+out as a (C, H, W) array, like any other image in the package.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorio import FeatureSequence, Frame, VideoSequence
+from .tensorio import FeatureSequence, VideoSequence
 
 
 @dataclass(frozen=True)
@@ -78,12 +80,12 @@ class RankVector:
 class DynamicImage:
     """A whole video pooled into one image.
 
-    ``raw`` is the unnormalized weighted sum per channel; ``frame`` is
-    the per-channel min-max normalized display form (constant channels
-    map to 0.5).
+    ``raw`` is the unnormalized (C, H, W) weighted sum; ``frame`` is its
+    read-only per-channel min-max normalized display form (constant
+    channels map to 0.5).
     """
 
-    frame: Frame
+    frame: np.ndarray
     raw: np.ndarray
 
 
@@ -109,7 +111,8 @@ def dynamic_image(video: VideoSequence) -> DynamicImage:
             display[c] = 0.5
         else:
             display[c] = (raw[c] - lo) / (hi - lo)
-    return DynamicImage(frame=Frame.from_array(display), raw=raw)
+    display.flags.writeable = False
+    return DynamicImage(frame=display, raw=raw)
 
 
 def dynamic_feature(seq: FeatureSequence) -> np.ndarray:

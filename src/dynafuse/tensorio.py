@@ -1,8 +1,9 @@
-"""Core frame/sequence types and the binary file formats shared by all modules.
+"""Core sequence types and the binary file formats shared by all modules.
 
-A ``VideoSequence`` is one frozen float64 array of shape (n, C, H, W),
-decoded and validated once; its ``frames`` are zero-copy ``Frame`` views
-of that array.
+An image is a plain float64 array of shape (C, H, W) with C in {1, 3}
+and intensities in [0, 1].  A ``VideoSequence`` is one read-only float64
+array of shape (n, C, H, W), decoded and validated once; its frames are
+the (C, H, W) slices of that array.
 
 Two on-disk formats are supported:
 
@@ -15,7 +16,6 @@ Two on-disk formats are supported:
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -36,63 +36,24 @@ _FORMAT_BY_MAGIC = {b"P5": "pgm", b"P6": "ppm"}
 _TENSOR_MAGIC = b"RPT1"
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _freeze(arr) -> np.ndarray:
+    """``arr`` as a read-only C-contiguous float64 array.  A writeable
+    array is copied rather than frozen, so the caller's array stays its
+    own; a buffer handed over already read-only is used without a copy."""
     out = np.ascontiguousarray(arr, dtype=np.float64)
+    if out.flags.writeable and np.may_share_memory(out, arr):
+        out = out.copy()
     out.flags.writeable = False
     return out
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A single image: planar channel-major float array of shape (C, H, W)."""
-
-    height: int
-    width: int
-    channels: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValueError("frame dimensions must be positive")
-        if self.channels not in (1, 3):
-            raise ValueError(f"channels must be 1 or 3, got {self.channels}")
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.shape != (self.channels, self.height, self.width):
-            raise ValueError(
-                f"data shape {data.shape} does not match "
-                f"({self.channels}, {self.height}, {self.width})"
-            )
-        if not np.all(np.isfinite(data)):
-            raise ValueError("frame data contains non-finite values")
-        object.__setattr__(self, "data", _freeze(data))
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "Frame":
-        """Build a frame from a 2-D (H, W) or 3-D (C, H, W) array."""
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim == 2:
-            arr = arr[None, :, :]
-        if arr.ndim != 3:
-            raise ValueError(f"expected 2-D or 3-D array, got ndim={arr.ndim}")
-        c, h, w = arr.shape
-        return cls(height=h, width=w, channels=c, data=arr)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.channels, self.height, self.width)
-
-    def plane(self, channel: int = 0) -> np.ndarray:
-        """The (H, W) view of one channel."""
-        return self.data[channel]
 
 
 @dataclass(frozen=True)
 class VideoSequence:
     """Temporally ordered frames with class/subject/view metadata.
 
-    ``data`` is one frozen float64 array of shape (n, C, H, W) with
-    n >= 1 and C in {1, 3}.  Frame order is temporal order; formulas
-    downstream index frames 1-based.
+    ``data`` is one read-only float64 array of shape (n, C, H, W) with
+    n >= 1 and C in {1, 3}; a writeable array passed in is copied.  Frame
+    order is temporal order; formulas downstream index frames 1-based.
     """
 
     data: np.ndarray
@@ -102,7 +63,7 @@ class VideoSequence:
     fps_hint: float | None = None
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        data = _freeze(self.data)
         if data.ndim != 4:
             raise ValueError(f"video data must be 4-D (n, C, H, W), got ndim={data.ndim}")
         n, c, h, w = data.shape
@@ -117,17 +78,19 @@ class VideoSequence:
         for name in ("class_id", "subject_id", "view_id"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        object.__setattr__(self, "data", _freeze(data))
+        object.__setattr__(self, "data", data)
 
     @classmethod
     def from_frames(cls, frames: Iterable, **meta) -> "VideoSequence":
-        """Stack ``Frame`` objects or (C, H, W) arrays of one shape into a video."""
-        planes = [np.asarray(f.data if isinstance(f, Frame) else f, np.float64) for f in frames]
+        """Stack (C, H, W) arrays of one shape into a video."""
+        planes = [np.asarray(f, np.float64) for f in frames]
         if not planes:
             raise ValueError("empty video: a sequence needs at least one frame")
         if any(p.shape != planes[0].shape for p in planes[1:]):
             raise ValueError("all frames of a sequence must share one shape")
-        return cls(np.stack(planes), **meta)
+        data = np.stack(planes)
+        data.flags.writeable = False
+        return cls(data, **meta)
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -136,15 +99,17 @@ class VideoSequence:
     def frame_shape(self) -> tuple[int, int, int]:
         return self.data.shape[1:]
 
-    @functools.cached_property
-    def frames(self) -> tuple[Frame, ...]:
-        """Zero-copy per-frame views of ``data``, built on first use."""
-        return tuple(Frame.from_array(d) for d in self.data)
+    @property
+    def frames(self) -> np.ndarray:
+        """``data`` itself, whose (C, H, W) slices are the frames; kept for
+        callers that iterate ``frames``, while the package indexes ``data``."""
+        return self.data
 
 
 @dataclass(frozen=True)
 class FeatureSequence:
-    """Per-frame feature vectors: an (N, d) array plus sequence metadata."""
+    """Per-frame feature vectors: a read-only float64 (N, d) array (a
+    writeable array passed in is copied) plus sequence metadata."""
 
     vectors: np.ndarray
     class_id: int = 0
@@ -153,14 +118,14 @@ class FeatureSequence:
     fps_hint: float | None = None
 
     def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=np.float64)
+        vectors = _freeze(self.vectors)
         if vectors.ndim != 2:
             raise ValueError(f"vectors must be 2-D (N, d), got ndim={vectors.ndim}")
         if vectors.shape[1] < 1:
             raise ValueError("feature dimension must be >= 1")
         if not np.all(np.isfinite(vectors)):
             raise ValueError("feature vectors contain non-finite values")
-        object.__setattr__(self, "vectors", _freeze(vectors))
+        object.__setattr__(self, "vectors", vectors)
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -257,30 +222,44 @@ def _decode(blob: bytes, format: str | None = None) -> tuple[np.ndarray, int]:
     return raw.reshape(height, width, channels).transpose(2, 0, 1), maxval
 
 
-def read_frame(path, format: str | None = None) -> Frame:
-    """Read a binary P5 graymap or P6 pixmap into a [0, 1] intensity frame.
+def read_frame(path, format: str | None = None) -> np.ndarray:
+    """Read a binary P5 graymap or P6 pixmap into a read-only (C, H, W)
+    float64 array of [0, 1] intensities.
 
     ``format`` may name the expected format (see ``_decode``).
     """
     raw, maxval = _decode(Path(path).read_bytes(), format)
-    return Frame.from_array(np.ascontiguousarray(raw) / float(maxval))
+    frame = np.ascontiguousarray(raw) / float(maxval)
+    frame.flags.writeable = False
+    return frame
 
 
-def write_frame(frame: Frame, path, format: str, maxval: int = 255) -> None:
-    """Write a frame as binary P5/P6, quantizing intensities to maxval steps."""
+def write_frame(frame: np.ndarray, path, format: str, maxval: int = 255) -> None:
+    """Write a (C, H, W) intensity array as binary P5/P6, quantizing to maxval steps.
+
+    Raises ValueError, and writes nothing, unless the array is 3-D with no
+    empty dimension, its channel count fits the format and every value is
+    finite.
+    """
     fmt = FORMAT_ALIASES.get(format)
     if fmt is None:
         raise ValueError(f"unknown frame format {format!r}")
+    data = np.asarray(frame, dtype=np.float64)
+    if data.ndim != 3 or 0 in data.shape:
+        raise ValueError(f"expected a non-empty (C, H, W) image, got shape {data.shape}")
+    channels, height, width = data.shape
     want_channels = 1 if fmt == "pgm" else 3
-    if frame.channels != want_channels:
+    if channels != want_channels:
         raise ValueError(
             f"channel mismatch: {fmt} needs {want_channels} channels, "
-            f"frame has {frame.channels}"
+            f"frame has {channels}"
         )
+    if not np.all(np.isfinite(data)):
+        raise ValueError("frame data contains non-finite values")
     if maxval not in (255, 65535):
         raise ValueError("maxval must be 255 or 65535")
-    header = f"{_MAGIC_BY_FORMAT[fmt].decode()}\n{frame.width} {frame.height}\n{maxval}\n"
-    quant = np.clip(np.round(frame.data * maxval), 0, maxval)
+    header = f"{_MAGIC_BY_FORMAT[fmt].decode()}\n{width} {height}\n{maxval}\n"
+    quant = np.clip(np.round(data * maxval), 0, maxval)
     dtype = np.uint8 if maxval == 255 else np.dtype("<u2")
     interleaved = quant.transpose(1, 2, 0).astype(dtype)
     Path(path).write_bytes(header.encode("ascii") + interleaved.tobytes())
@@ -367,7 +346,7 @@ def read_feature_sequence(path) -> FeatureSequence:
         raise ValueError(f"feature sequence must be rank 2, got rank {arr.ndim}")
     meta = meta or {}
     return FeatureSequence(
-        vectors=arr.astype(np.float64),
+        vectors=arr,
         class_id=int(meta.get("class_id", 0)),
         subject_id=int(meta.get("subject_id", 0)),
         view_id=int(meta.get("view_id", 0)),
@@ -393,4 +372,5 @@ def video_from_frame_files(
         elif raw.shape != data.shape[1:]:
             raise ValueError("all frames of a sequence must share one shape")
         np.divide(np.ascontiguousarray(raw), float(maxval), out=data[i])
+    data.flags.writeable = False
     return VideoSequence(data, class_id=class_id, subject_id=subject_id, view_id=view_id)

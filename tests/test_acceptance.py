@@ -21,7 +21,7 @@ from dynafuse.rankpool import (
     exact_rank_pool,
     time_average,
 )
-from dynafuse.tensorio import FeatureSequence, Frame, VideoSequence
+from dynafuse.tensorio import FeatureSequence, VideoSequence
 
 
 def gamma_oracle(n: int) -> np.ndarray:
@@ -93,15 +93,13 @@ def test_criterion_04_ssim():
     """Self-similarity, constant-image value and symmetry."""
     rng = np.random.default_rng(1236)
     for _ in range(100):
-        f = Frame.from_array(rng.random((13, 13)))
+        f = rng.random((13, 13))
         assert abs(ssim(f, f).global_index - 1.0) <= 1e-12
-    f0 = Frame.from_array(np.zeros((16, 16)))
-    f1 = Frame.from_array(np.ones((16, 16)))
-    constant = ssim(f0, f1).global_index
+    constant = ssim(np.zeros((16, 16)), np.ones((16, 16))).global_index
     assert abs(constant - 0.0099995) <= 1e-6
     for _ in range(25):
-        a = Frame.from_array(rng.random((12, 14)))
-        b = Frame.from_array(rng.random((12, 14)))
+        a = rng.random((12, 14))
+        b = rng.random((12, 14))
         assert abs(ssim(a, b).global_index - ssim(b, a).global_index) <= 1e-12
     print(f"\n[criterion 4] PASS: self = 1, constant pair = {constant:.9f}, symmetric")
 
@@ -109,16 +107,14 @@ def test_criterion_04_ssim():
 def test_criterion_05_keyframe_determinism():
     """The constructed 11-frame video always picks frame 10 first; constant
     videos fall back to the ascending-index tie-break."""
-    same = np.zeros((16, 16))
-    same[4:10, 4:10] = 1.0
-    different = np.zeros((16, 16))
-    different[8:12, 9:13] = 1.0
-    video = VideoSequence.from_frames(
-        tuple([Frame.from_array(same)] * 10 + [Frame.from_array(different)])
-    )
+    same = np.zeros((1, 16, 16))
+    same[0, 4:10, 4:10] = 1.0
+    different = np.zeros((1, 16, 16))
+    different[0, 8:12, 9:13] = 1.0
+    video = VideoSequence.from_frames([same] * 10 + [different])
     for _ in range(5):
         assert select_keyframes(video, k=1).frame_indices == (10,)
-    constant = VideoSequence.from_frames((Frame.from_array(same),) * 8)
+    constant = VideoSequence.from_frames([same] * 8)
     for k in (1, 3, 5):
         assert select_keyframes(constant, k=k).frame_indices == tuple(range(1, k + 1))
     print("\n[criterion 5] PASS: frame 10 always first; constant video picks 1..k")

@@ -9,7 +9,6 @@ import pytest
 from dynafuse import cli, imgproc
 from dynafuse.tensorio import (
     FeatureSequence,
-    Frame,
     read_tensor,
     write_feature_sequence,
     write_frame,
@@ -82,7 +81,7 @@ class TestPipeline:
 
 class TestEncodeDi:
     def test_constant_video_gives_zero_tensor(self, tmp_path):
-        frames = [Frame.from_array(np.full((16, 16), 0.5))] * 5
+        frames = [np.full((1, 16, 16), 0.5)] * 5
         make_video_dir(tmp_path / "vid", frames)
         out = tmp_path / "di"
         assert cli.main(["encode-di", "--video", str(tmp_path / "vid"),
@@ -95,9 +94,9 @@ class TestEncodeDi:
 def depth_frames(n=6, side=24):
     frames = []
     for t in range(n):
-        arr = np.zeros((side, side))
-        arr[4 : 14 + (t % 2), 6:18] = 0.9
-        frames.append(Frame.from_array(arr))
+        arr = np.zeros((1, side, side))
+        arr[0, 4 : 14 + (t % 2), 6:18] = 0.9
+        frames.append(arr)
     return frames
 
 
@@ -117,7 +116,7 @@ class TestKeyframesCommand:
     def test_reports_dropped_frames(self, tmp_path, monkeypatch, capsys):
         """A blank frame is reported, and the 5 kept frames cost 4 SSIMs."""
         frames = depth_frames()
-        frames[2] = Frame.from_array(np.zeros((24, 24)))
+        frames[2] = np.zeros((1, 24, 24))
         make_video_dir(tmp_path / "vid", frames)
         calls = []
         ssim = imgproc.ssim
@@ -236,7 +235,7 @@ class TestParserReuse:
         cached = run(tmp_path / "cached")
         assert [code for code, _ in cached] == [0, 0, 1, 0]
         assert len(cached[0][1].splitlines()) == 1 + 6  # view 3 only
-        assert len(cached[1][1].splitlines()) == 1 + 18  # every view
+        assert len(cached[1][1].splitlines()) == 1 + 6  # the recorded test view, 3
         assert cached[3] == cached[0]
         for argv in calls(tmp_path / "cached"):
             if "x" not in argv:
@@ -246,10 +245,56 @@ class TestParserReuse:
         assert run(tmp_path / "fresh") == cached
 
 
+
+class TestPredictSelection:
+    def test_default_is_the_recorded_test_side(self, tmp_path, capsys):
+        """Without --views/--subjects, predict scores the test side that
+        model.json records; an explicit filter selects exactly what it
+        names, training sequences included."""
+        corpus = tiny_corpus(tmp_path)
+        manifest = str(corpus / "manifest.json")
+        protocols = {
+            "view": ["--train-views", "1,2", "--test-views", "3"],
+            "subject": ["--protocol", "cross-subject", "--train-subjects", "0",
+                        "--test-subjects", "1"],
+        }
+        for name, flags in protocols.items():
+            assert cli.main(["train", "--manifest", manifest, "--stream", "motion",
+                             "--epochs", "2", "--model-out", str(tmp_path / name), *flags]) == 0
+
+        def scored(model, *flags, manifest=manifest):
+            out = tmp_path / "scores.csv"
+            out.unlink(missing_ok=True)
+            code = cli.main(["predict", "--model", str(tmp_path / model), "--manifest",
+                             manifest, *flags, "--out", str(out)])
+            return code, [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+
+        def ids(subjects, views):
+            return [f"c{c}_s{s}_v{v}" for c in range(3) for s in subjects for v in views]
+
+        assert scored("view") == (0, ids([0, 1], [3]))
+        assert scored("subject") == (0, ids([1], [1, 2, 3]))
+        assert scored("view", "--views", "1") == (0, ids([0, 1], [1]))
+        assert scored("subject", "--subjects", "0") == (0, ids([0], [1, 2, 3]))
+        # a manifest of held-out sequences alone needs no filter either
+        record = json.loads((corpus / "manifest.json").read_text())
+        record["sequences"] = [e for e in record["sequences"] if e["view_id"] == 3]
+        (corpus / "held_out.json").write_text(json.dumps(record))
+        assert scored("view", manifest=str(corpus / "held_out.json")) == (0, ids([0, 1], [3]))
+        sidecar = tmp_path / "view" / "model.json"
+        record = json.loads(sidecar.read_text())
+        del record["protocol"]
+        sidecar.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert cli.main(["predict", "--model", str(tmp_path / "view"), "--manifest", manifest,
+                         "--out", str(tmp_path / "none.csv")]) == 1
+        assert "records no protocol" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "none.csv").exists()
+
 class TestConcatLengthMismatch:
     def blank_depth_frames(self, corpus, seq_id, count, side=32):
         for t in range(count):
-            write_frame(Frame.from_array(np.zeros((side, side))),
+            write_frame(np.zeros((1, side, side)),
                         corpus / seq_id / "depth" / f"{t:04d}.pgm", "pgm")
 
     def test_short_sequence_is_named(self, tmp_path, capsys):

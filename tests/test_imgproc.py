@@ -16,7 +16,6 @@ from dynafuse.imgproc import (
     silhouette,
     ssim,
 )
-from dynafuse.tensorio import Frame
 
 
 def erode_oracle(mask: np.ndarray, se: np.ndarray) -> np.ndarray:
@@ -67,14 +66,14 @@ class TestSsim:
     def test_identity_is_exactly_one(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            f = Frame.from_array(rng.random((16, 16)))
+            f = rng.random((16, 16))
             assert abs(ssim(f, f).global_index - 1.0) <= 1e-12
 
     def test_constant_images_hand_value(self):
         """All variances vanish on constant images, so only the luminance
         term differs from 1: sqrt(k1 / (1 + k1)) with defaults."""
-        f0 = Frame.from_array(np.zeros((20, 20)))
-        f1 = Frame.from_array(np.ones((20, 20)))
+        f0 = np.zeros((20, 20))
+        f1 = np.ones((20, 20))
         result = ssim(f0, f1)
         expected = np.sqrt(1e-4 / (1.0 + 1e-4))  # 0.009999500...
         assert abs(result.global_index - 0.0099995) <= 1e-6
@@ -83,14 +82,14 @@ class TestSsim:
     def test_symmetry(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            a = Frame.from_array(rng.random((14, 17)))
-            b = Frame.from_array(rng.random((14, 17)))
+            a = rng.random((14, 17))
+            b = rng.random((14, 17))
             assert abs(ssim(a, b).global_index - ssim(b, a).global_index) <= 1e-12
 
     def test_global_is_mean_of_local(self):
         rng = np.random.default_rng(5)
-        a = Frame.from_array(rng.random((15, 15)))
-        b = Frame.from_array(rng.random((15, 15)))
+        a = rng.random((15, 15))
+        b = rng.random((15, 15))
         r = ssim(a, b)
         assert r.local_map.shape == (15, 15)
         assert abs(r.global_index - r.local_map.mean()) <= 1e-9
@@ -98,23 +97,23 @@ class TestSsim:
     def test_bounded_for_default_exponents(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            a = Frame.from_array(rng.random((12, 12)))
-            b = Frame.from_array(rng.random((12, 12)))
+            a = rng.random((12, 12))
+            b = rng.random((12, 12))
             assert abs(ssim(a, b).global_index) <= 1.0 + 1e-6
 
     def test_shape_mismatch(self):
-        a = Frame.from_array(np.zeros((12, 12)))
-        b = Frame.from_array(np.zeros((13, 12)))
+        a = np.zeros((12, 12))
+        b = np.zeros((13, 12))
         with pytest.raises(ValueError, match="mismatch"):
             ssim(a, b)
 
     def test_multichannel_rejected(self):
-        a = Frame.from_array(np.zeros((3, 12, 12)))
+        a = np.zeros((3, 12, 12))
         with pytest.raises(ValueError, match="single-channel"):
             ssim(a, a)
 
     def test_window_larger_than_image(self):
-        a = Frame.from_array(np.zeros((8, 8)))
+        a = np.zeros((8, 8))
         with pytest.raises(ValueError, match="window"):
             ssim(a, a)
 
@@ -197,7 +196,7 @@ class TestMorphology:
 
 class TestSilhouette:
     def test_all_zero_frame(self):
-        out = silhouette(Frame.from_array(np.zeros((8, 8))))
+        out = silhouette(np.zeros((8, 8)))
         assert not out.any()
 
     def test_speckles_removed_block_kept(self):
@@ -205,7 +204,7 @@ class TestSilhouette:
         depth[3:13, 3:13] = 0.6
         for y, x in [(0, 0), (1, 15), (15, 1)]:
             depth[y, x] = 0.9
-        out = silhouette(Frame.from_array(depth))
+        out = silhouette(depth)
         block = np.zeros((16, 16), dtype=bool)
         block[3:13, 3:13] = True
         np.testing.assert_array_equal(out, block)
@@ -218,8 +217,8 @@ class TestSilhouette:
     def test_idempotent_on_clean_blocks(self):
         mask = np.zeros((12, 12))
         mask[2:9, 4:10] = 1.0
-        once = silhouette(Frame.from_array(mask))
-        twice = silhouette(Frame.from_array(once.astype(float)))
+        once = silhouette(mask)
+        twice = silhouette(once.astype(float))
         np.testing.assert_array_equal(once, twice)
         np.testing.assert_array_equal(once, mask.astype(bool))
 
@@ -260,47 +259,47 @@ class TestRoiResize:
     def test_full_mask_identity(self):
         rng = np.random.default_rng(9)
         arr = rng.random((6, 6))
-        f = Frame.from_array(arr)
+        f = arr[None]
         out = roi_resize(f, np.ones((6, 6), dtype=bool), side=6)
-        np.testing.assert_array_equal(out.plane(0), arr)
+        np.testing.assert_array_equal(out[0], arr)
 
     def test_bilinear_hand_values(self):
         """2x2 checker upsampled to 4x4: v(y, x) = x + y - 2xy on the
         corner-aligned grid {0, 1/3, 2/3, 1}."""
-        f = Frame.from_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        f = np.array([[[0.0, 1.0], [1.0, 0.0]]])
         out = roi_resize(f, np.ones((2, 2), dtype=bool), side=4)
         grid = np.arange(4) / 3.0
         x, y = np.meshgrid(grid, grid)
-        np.testing.assert_allclose(out.plane(0), x + y - 2 * x * y, atol=1e-12)
+        np.testing.assert_allclose(out[0], x + y - 2 * x * y, atol=1e-12)
 
     def test_corners_preserved(self):
-        f = Frame.from_array(np.array([[0.2, 0.9], [0.4, 0.7]]))
+        f = np.array([[[0.2, 0.9], [0.4, 0.7]]])
         out = roi_resize(f, np.ones((2, 2), dtype=bool), side=5)
-        p = out.plane(0)
+        p = out[0]
         assert p[0, 0] == 0.2 and p[0, 4] == 0.9 and p[4, 0] == 0.4 and p[4, 4] == 0.7
 
     def test_constant_preserved_exactly(self):
-        f = Frame.from_array(np.full((5, 3), 0.37))
+        f = np.full((1, 5, 3), 0.37)
         mask = np.zeros((5, 3), dtype=bool)
         mask[1:4, 0:3] = True
         out = roi_resize(f, mask, side=8)
-        np.testing.assert_array_equal(out.plane(0), np.full((8, 8), 0.37))
+        np.testing.assert_array_equal(out[0], np.full((8, 8), 0.37))
 
     def test_range_never_exceeded(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             arr = rng.random((7, 5))
-            f = Frame.from_array(arr)
+            f = arr[None]
             mask = np.zeros((7, 5), dtype=bool)
             mask[1:6, 1:4] = True
             out = roi_resize(f, mask, side=11)
             sub = arr[1:6, 1:4]
             # zero padding joins the range when the crop is not square
             lo = min(sub.min(), 0.0)
-            assert out.plane(0).min() >= lo - 1e-15
-            assert out.plane(0).max() <= sub.max() + 1e-15
+            assert out[0].min() >= lo - 1e-15
+            assert out[0].max() <= sub.max() + 1e-15
 
     def test_empty_mask(self):
-        f = Frame.from_array(np.zeros((4, 4)))
+        f = np.zeros((1, 4, 4))
         with pytest.raises(ValueError, match="empty"):
             roi_resize(f, np.zeros((4, 4), dtype=bool), side=4)

@@ -10,17 +10,18 @@ from dynafuse.keyframe import (
     select_keyframes,
     ssii_vector,
 )
-from dynafuse.tensorio import Frame, VideoSequence
+from dynafuse.tensorio import VideoSequence
 
 
 def block_frame(side=16, top=4, left=4, h=6, w=6):
     arr = np.zeros((side, side))
     arr[top : top + h, left : left + w] = 1.0
-    return Frame.from_array(arr)
+    return arr
 
 
-def make_video(frames):
-    return VideoSequence.from_frames(tuple(frames))
+def make_video(planes):
+    """A single-channel video of (H, W) planes."""
+    return VideoSequence.from_frames([p[None] for p in planes])
 
 
 def eleven_frame_video():
@@ -48,7 +49,7 @@ class TestSsiiVector:
 
     def test_reversal_preserves_value_multiset(self):
         rng = np.random.default_rng(31)
-        frames = [Frame.from_array(rng.random((12, 12))) for _ in range(6)]
+        frames = [rng.random((12, 12)) for _ in range(6)]
         fwd = ssii_vector(make_video(frames))
         rev = ssii_vector(make_video(frames[::-1]))
         np.testing.assert_allclose(
@@ -90,7 +91,7 @@ class TestSelectKeyframes:
     def test_minimum_pair_always_included(self):
         rng = np.random.default_rng(32)
         for _ in range(5):
-            frames = [Frame.from_array(rng.random((12, 12))) for _ in range(7)]
+            frames = [rng.random((12, 12)) for _ in range(7)]
             video = make_video(frames)
             vec = ssii_vector(video)
             best_pair = vec.entries[0][0]
@@ -101,7 +102,7 @@ class TestSelectKeyframes:
         """A final duplicate frame forms a similarity-1 pair that sorts
         after everything else, so prior selections survive."""
         rng = np.random.default_rng(33)
-        frames = [Frame.from_array(rng.random((12, 12))) for _ in range(6)]
+        frames = [rng.random((12, 12)) for _ in range(6)]
         extended = frames + [frames[-1]]
         for k in (1, 2, 3, 5, 6, 8):
             before = set(select_keyframes(make_video(frames), k=k).frame_indices)
@@ -119,7 +120,7 @@ class TestKeyframeStack:
         for t in range(n):
             arr = np.zeros((side, side))
             arr[4 : 12 + (t % 3), 6:14] = 0.8
-            frames.append(Frame.from_array(arr))
+            frames.append(arr)
         return make_video(frames)
 
     def test_stack_shape(self):
@@ -132,11 +133,11 @@ class TestKeyframeStack:
         assert stack.frame_indices == sel.frame_indices
         assert stack.dropped_indices == ()
         assert len(stack.ssii.entries) == 11
-        expected = np.stack([processed.frames[i - 1].plane(0) for i in sel.frame_indices])
+        expected = np.stack([processed.data[i - 1, 0] for i in sel.frame_indices])
         np.testing.assert_array_equal(stack.frames, expected)
 
     def test_single_frame_selection(self):
-        empty = Frame.from_array(np.zeros((16, 16)))
+        empty = np.zeros((16, 16))
         video = make_video([empty, block_frame(), empty])
         stack = keyframe_stack(video, k=10, side=16)
         assert stack.frames.shape == (1, 16, 16)
@@ -145,15 +146,15 @@ class TestKeyframeStack:
         assert stack.ssii.entries == ()
 
     def test_all_background_video_errors(self):
-        video = make_video([Frame.from_array(np.zeros((16, 16)))] * 4)
+        video = make_video([np.zeros((16, 16))] * 4)
         with pytest.raises(ValueError, match="empty silhouettes"):
             keyframe_stack(video, k=2, side=16)
 
     def test_empty_frames_dropped_with_warning_count(self):
         """A blank frame is dropped before ranking; the stack reports raw
         frame numbers and the pairs number the kept frames."""
-        good = self.depth_video(n=6, side=16).frames
-        empty = Frame.from_array(np.zeros((16, 16)))
+        good = self.depth_video(n=6, side=16).data[:, 0]
+        empty = np.zeros((16, 16))
         video = make_video([good[0], good[1], empty, good[3], good[4], good[5]])
         stack = keyframe_stack(video, k=3, side=16)
         assert stack.dropped_indices == (3,)

@@ -15,7 +15,6 @@ from dynafuse.rankpool import (
 )
 from dynafuse.tensorio import (
     FeatureSequence,
-    Frame,
     VideoSequence,
     read_frame,
     video_from_frame_files,
@@ -137,46 +136,40 @@ class TestArpCoefficients:
 
 class TestDynamicImage:
     def constant_video(self, value, n=5):
-        frame = Frame.from_array(np.full((4, 6), value))
-        return VideoSequence.from_frames((frame,) * n)
+        return VideoSequence.from_frames([np.full((1, 4, 6), value)] * n)
 
     def test_constant_video_raw_zero(self):
         di = dynamic_image(self.constant_video(0.7))
         np.testing.assert_allclose(di.raw, 0.0, atol=1e-12)
-        np.testing.assert_allclose(di.frame.data, 0.5)
+        np.testing.assert_allclose(di.frame, 0.5)
 
     def test_two_frame_hand_value(self):
-        v = VideoSequence.from_frames(
-            (
-                Frame.from_array(np.zeros((3, 3))),
-                Frame.from_array(np.ones((3, 3))),
-            )
-        )
+        v = VideoSequence.from_frames([np.zeros((1, 3, 3)), np.ones((1, 3, 3))])
         np.testing.assert_allclose(dynamic_image(v).raw, 0.5, atol=1e-12)
 
     def test_shape_contract(self):
         rng = np.random.default_rng(41)
-        frames = tuple(Frame.from_array(rng.random((3, 5, 4))) for _ in range(6))
+        frames = [rng.random((3, 5, 4)) for _ in range(6)]
         di = dynamic_image(VideoSequence.from_frames(frames))
         assert di.raw.shape == (3, 5, 4)
         assert di.frame.shape == (3, 5, 4)
 
     def test_display_normalized(self):
         rng = np.random.default_rng(42)
-        frames = tuple(Frame.from_array(rng.random((6, 6))) for _ in range(4))
+        frames = [rng.random((1, 6, 6)) for _ in range(4)]
         di = dynamic_image(VideoSequence.from_frames(frames))
-        assert di.frame.data.min() >= 0.0 and di.frame.data.max() <= 1.0
+        assert di.frame.min() >= 0.0 and di.frame.max() <= 1.0
 
     def test_linearity(self):
         """raw pooling is linear: DI(aV1 + bV2) = a DI(V1) + b DI(V2)."""
         rng = np.random.default_rng(43)
         n = 5
-        stack1 = rng.random((n, 4, 4))
-        stack2 = rng.random((n, 4, 4))
+        stack1 = rng.random((n, 1, 4, 4))
+        stack2 = rng.random((n, 1, 4, 4))
         a, b = 0.3, 1.7
 
         def video(stack):
-            return VideoSequence.from_frames(tuple(Frame.from_array(f) for f in stack))
+            return VideoSequence.from_frames(list(stack))
 
         lhs = dynamic_image(video(a * stack1 + b * stack2)).raw
         rhs = a * dynamic_image(video(stack1)).raw + b * dynamic_image(video(stack2)).raw
@@ -190,7 +183,7 @@ class TestDynamicImage:
         n, c, h, w = 64, 3, 128, 128
         paths = [tmp_path / f"{t:04d}.ppm" for t in range(n)]
         for path in paths:
-            write_frame(Frame.from_array(rng.random((c, h, w))), path, "ppm")
+            write_frame(rng.random((c, h, w)), path, "ppm")
         tracemalloc.start()
         try:
             raw = dynamic_image(video_from_frame_files(paths)).raw
@@ -198,7 +191,7 @@ class TestDynamicImage:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * n * c * h * w * 8
-        stack = np.stack([read_frame(path).data for path in paths])
+        stack = np.stack([read_frame(path) for path in paths])
         expected = np.tensordot(arp_coefficients(n).gamma, stack, axes=(0, 0))
         np.testing.assert_array_equal(raw, expected)
 

@@ -35,10 +35,8 @@ class TestGenerate:
         b = generate(cfg)
         for pa, pb in zip(a, b):
             assert pa.seq_id == pb.seq_id
-            for fa, fb in zip(pa.rgb.frames, pb.rgb.frames):
-                np.testing.assert_array_equal(fa.data, fb.data)
-            for fa, fb in zip(pa.depth.frames, pb.depth.frames):
-                np.testing.assert_array_equal(fa.data, fb.data)
+            np.testing.assert_array_equal(pa.rgb.data, pb.rgb.data)
+            np.testing.assert_array_equal(pa.depth.data, pb.depth.data)
 
     def test_views_are_warps_of_one_canonical_sequence(self):
         """With zero noise, each view's depth frames are exact rasterizations
@@ -50,25 +48,23 @@ class TestGenerate:
             for view_id in (1, 2, 3):
                 pair = pairs[f"c{class_id}_s1_v{view_id}"]
                 affine = view_affine(view_id)
-                for t, frame in enumerate(pair.depth.frames):
+                for t, frame in enumerate(pair.depth.data):
                     shape = shape_at(cfg, class_id, 1, t)
                     expected = rasterize(shape, affine, cfg.frame_side)
-                    np.testing.assert_array_equal(frame.plane(0), expected.astype(float))
+                    np.testing.assert_array_equal(frame[0], expected.astype(float))
 
     def test_depth_twin_is_binary_silhouette(self):
         cfg = SynthConfig(subjects=1, views=1, frames_per_video=3, seed=2)
         for pair in generate(cfg):
-            for frame in pair.depth.frames:
-                values = np.unique(frame.plane(0))
-                assert set(values.tolist()) <= {0.0, 1.0}
+            assert set(np.unique(pair.depth.data).tolist()) <= {0.0, 1.0}
 
     def test_noise_only_on_rgb(self):
         quiet = SynthConfig(subjects=1, views=1, frames_per_video=3, noise_sigma=0.0, seed=3)
         loud = SynthConfig(subjects=1, views=1, frames_per_video=3, noise_sigma=0.05, seed=3)
         pq = generate(quiet)[0]
         pl = generate(loud)[0]
-        assert not np.array_equal(pq.rgb.frames[0].data, pl.rgb.frames[0].data)
-        np.testing.assert_array_equal(pq.depth.frames[0].data, pl.depth.frames[0].data)
+        assert not np.array_equal(pq.rgb.data[0], pl.rgb.data[0])
+        np.testing.assert_array_equal(pq.depth.data[0], pl.depth.data[0])
 
     def test_out_of_bounds_trajectory_clamps_with_warning(self):
         """Default programs stay inside the frame; the clamp path guards
@@ -82,8 +78,7 @@ class TestGenerate:
     def test_rgb_values_in_unit_range(self):
         cfg = SynthConfig(subjects=2, views=2, frames_per_video=4, noise_sigma=0.1, seed=6)
         for pair in generate(cfg):
-            for frame in pair.rgb.frames:
-                assert frame.data.min() >= 0.0 and frame.data.max() <= 1.0
+            assert pair.rgb.data.min() >= 0.0 and pair.rgb.data.max() <= 1.0
 
 
 class TestManifest:
