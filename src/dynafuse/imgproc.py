@@ -12,8 +12,15 @@ The global index is the mean of the local map.  Depth silhouettes are
 insensitive to luminance/contrast, so the default exponents damp L and C
 (alpha = beta = 0.5) and keep the structure term linear (gamma_exp = 1).
 
-Images are plain (C, H, W) arrays, as sliced from a video's (n, C, H, W)
-array; the single-channel functions also take an (H, W) plane.
+The key-frame pipeline works on whole videos through the private
+routines here: ``_silhouettes`` opens and closes the (n, H, W) foreground
+masks with shifted boolean slices, ``_largest_components`` labels every
+frame in one ``ndimage.label`` call, ``_roi_resize`` lerps each source
+row along x once before lerping along y, and ``_consecutive_ssim``
+computes each frame's local mean and E[x^2] once, so a pair of n - 1
+adds only its cross moment (6 separable passes per pair instead of 10).
+The public functions take one (C, H, W) array or (H, W) plane, check it,
+and call the same routines for that one frame.
 """
 
 from __future__ import annotations
@@ -84,16 +91,32 @@ class StructuringElement:
         return cls(np.ones((side, side), dtype=bool))
 
 
+_SQUARE3 = StructuringElement.full(3).mask
+# 8-connectivity inside each (H, W) frame of an (n, H, W) stack, no link through time
+_IN_FRAME_8 = np.zeros((3, 3, 3), dtype=bool)
+_IN_FRAME_8[1] = True
+
+
+def _single_channel(data: np.ndarray) -> np.ndarray:
+    """(..., 1, H, W) -> (..., H, W); any other channel count is an error."""
+    if data.shape[-3] != 1:
+        raise ValueError(f"expected single-channel input, got {data.shape[-3]} channels")
+    return data[..., 0, :, :]
+
+
 def _as_plane(f) -> np.ndarray:
     """Accept a (1, H, W) or (H, W) array; return the (H, W) plane."""
     arr = np.asarray(f, dtype=np.float64)
     if arr.ndim == 3:
-        if arr.shape[0] != 1:
-            raise ValueError(f"expected single-channel input, got {arr.shape[0]} channels")
-        arr = arr[0]
+        arr = _single_channel(arr)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={arr.ndim}")
     return arr
+
+
+# ---------------------------------------------------------------------------
+# Structural similarity
+# ---------------------------------------------------------------------------
 
 
 def _gaussian_window(radius: int, sigma: float) -> np.ndarray:
@@ -110,6 +133,32 @@ def _local_mean(img: np.ndarray, window: np.ndarray) -> np.ndarray:
     return ndimage.correlate1d(tmp, window, axis=1, mode="reflect")
 
 
+def _check_window(shape: tuple[int, ...], p: SsimParams) -> None:
+    side = 2 * p.window_radius + 1
+    if shape[0] < side or shape[1] < side:
+        raise ValueError(f"window {side}x{side} larger than image {shape[0]}x{shape[1]}")
+
+
+def _moments(img: np.ndarray, window: np.ndarray) -> tuple:
+    """One image's share of the index: (image, mean, mean^2, variance, std)."""
+    mu = _local_mean(img, window)
+    mu_sq = mu * mu
+    var = np.maximum(_local_mean(img * img, window) - mu_sq, 0.0)
+    return img, mu, mu_sq, var, np.sqrt(var)
+
+
+def _ssim_map(m1: tuple, m2: tuple, window: np.ndarray, p: SsimParams) -> np.ndarray:
+    """Local similarity map of two images from their ``_moments``; only the
+    cross moment is computed here."""
+    a, mu1, mu1_sq, var1, sig1 = m1
+    b, mu2, mu2_sq, var2, sig2 = m2
+    cov = _local_mean(a * b, window) - mu1 * mu2
+    lum = (2.0 * mu1 * mu2 + p.k1) / (mu1_sq + mu2_sq + p.k1)
+    con = (2.0 * sig1 * sig2 + p.k2) / (var1 + var2 + p.k2)
+    struct = (cov + p.k3) / (sig1 * sig2 + p.k3)
+    return lum**p.alpha * con**p.beta * struct**p.gamma_exp
+
+
 def ssim(f1, f2, params: SsimParams | None = None) -> SsimResult:
     """Similarity index of two single-channel images of identical shape.
 
@@ -121,27 +170,26 @@ def ssim(f1, f2, params: SsimParams | None = None) -> SsimResult:
     b = _as_plane(f2)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    side = 2 * p.window_radius + 1
-    if a.shape[0] < side or a.shape[1] < side:
-        raise ValueError(
-            f"window {side}x{side} larger than image {a.shape[0]}x{a.shape[1]}"
-        )
+    _check_window(a.shape, p)
     w = _gaussian_window(p.window_radius, p.window_sigma)
-
-    mu1 = _local_mean(a, w)
-    mu2 = _local_mean(b, w)
-    var1 = np.maximum(_local_mean(a * a, w) - mu1 * mu1, 0.0)
-    var2 = np.maximum(_local_mean(b * b, w) - mu2 * mu2, 0.0)
-    cov = _local_mean(a * b, w) - mu1 * mu2
-    sig1 = np.sqrt(var1)
-    sig2 = np.sqrt(var2)
-
-    lum = (2.0 * mu1 * mu2 + p.k1) / (mu1 * mu1 + mu2 * mu2 + p.k1)
-    con = (2.0 * sig1 * sig2 + p.k2) / (var1 + var2 + p.k2)
-    struct = (cov + p.k3) / (sig1 * sig2 + p.k3)
-
-    local = lum**p.alpha * con**p.beta * struct**p.gamma_exp
+    local = _ssim_map(_moments(a, w), _moments(b, w), w, p)
     return SsimResult(global_index=float(local.mean()), local_map=local)
+
+
+def _consecutive_ssim(frames: np.ndarray, params: SsimParams | None = None) -> list[float]:
+    """Global index of each consecutive pair of an (n, H, W) stack: n - 1
+    values, pair i joining frames i and i + 1.  Each frame's moments are
+    computed once and shared by the two pairs it belongs to."""
+    p = params or SsimParams()
+    _check_window(frames.shape[1:], p)
+    w = _gaussian_window(p.window_radius, p.window_sigma)
+    values = []
+    prev = _moments(frames[0], w)
+    for frame in frames[1:]:
+        cur = _moments(frame, w)
+        values.append(float(_ssim_map(prev, cur, w, p).mean()))
+        prev = cur
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +207,46 @@ def _as_binary(mask) -> np.ndarray:
 
 
 def _se_mask(se) -> np.ndarray:
+    if se is None:
+        return _SQUARE3
     if isinstance(se, StructuringElement):
         return se.mask
     return StructuringElement(np.asarray(se)).mask
 
 
+def _morph(masks: np.ndarray, se: np.ndarray, erode: bool) -> np.ndarray:
+    """Erode (AND) or dilate (OR) boolean (..., H, W) masks by ``se``.
+
+    Each true cell of the element contributes one shifted view of the
+    zero-padded masks, so pixels outside the image count as background;
+    dilation reflects the element, as the set definition does.
+    """
+    r = se.shape[0] // 2
+    h, w = masks.shape[-2:]
+    padded = np.zeros(masks.shape[:-2] + (h + 2 * r, w + 2 * r), dtype=bool)
+    padded[..., r : r + h, r : r + w] = masks
+    sign = 1 if erode else -1
+    out = None
+    for dy, dx in np.argwhere(se) - r:
+        y, x = r + sign * dy, r + sign * dx
+        view = padded[..., y : y + h, x : x + w]
+        if out is None:
+            out = view.copy()
+        elif erode:
+            out &= view
+        else:
+            out |= view
+    return out
+
+
 def erode(mask, se=None) -> np.ndarray:
     """Binary erosion; pixels outside the image count as background."""
-    m = _as_binary(mask)
-    s = _se_mask(se if se is not None else StructuringElement.full(3))
-    return ndimage.binary_erosion(m, structure=s, border_value=0)
+    return _morph(_as_binary(mask), _se_mask(se), erode=True)
 
 
 def dilate(mask, se=None) -> np.ndarray:
     """Binary dilation; pixels outside the image count as background."""
-    m = _as_binary(mask)
-    s = _se_mask(se if se is not None else StructuringElement.full(3))
-    return ndimage.binary_dilation(m, structure=s, border_value=0)
+    return _morph(_as_binary(mask), _se_mask(se), erode=False)
 
 
 def opening(mask, se=None) -> np.ndarray:
@@ -188,13 +259,37 @@ def closing(mask, se=None) -> np.ndarray:
     return erode(dilate(mask, se), se)
 
 
+def _silhouettes(depth: np.ndarray) -> np.ndarray:
+    """Foreground masks of (..., H, W) depth planes: nonzero depth, then
+    open + close with the 3x3 square."""
+    m = _morph(_morph(depth > 0.0, _SQUARE3, True), _SQUARE3, False)
+    return _morph(_morph(m, _SQUARE3, False), _SQUARE3, True)
+
+
 def silhouette(depth) -> np.ndarray:
     """Foreground mask of a single-channel depth frame or plane: nonzero
     depth, then open + close (3x3)."""
-    plane = _as_plane(depth)
-    mask = plane > 0.0
-    se = StructuringElement.full(3)
-    return closing(opening(mask, se), se)
+    return _silhouettes(_as_plane(depth))
+
+
+def _largest_components(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest 8-connected component of each frame of (n, H, W) masks.
+
+    Returns the component masks and which frames had any foreground (an
+    empty frame's mask stays empty).  One labelling covers the stack:
+    labels are assigned in scan order, so each frame's labels form one
+    contiguous range and the first maximal count in it is the component
+    whose first pixel comes earliest in row-major order.
+    """
+    labels, _ = ndimage.label(masks, structure=_IN_FRAME_8)
+    counts = np.bincount(labels.ravel())
+    last = np.maximum.accumulate(labels.reshape(len(labels), -1).max(axis=1))
+    first = np.concatenate(([0], last[:-1]))
+    keep = np.full(len(labels), -1)
+    for i, (lo, hi) in enumerate(zip(first, last)):
+        if hi > lo:
+            keep[i] = lo + 1 + int(np.argmax(counts[lo + 1 : hi + 1]))
+    return labels == keep[:, None, None], keep > 0
 
 
 def largest_component(mask) -> np.ndarray:
@@ -205,12 +300,9 @@ def largest_component(mask) -> np.ndarray:
     the first maximal count wins).
     """
     m = _as_binary(mask)
-    labels, n = ndimage.label(m, structure=np.ones((3, 3), dtype=bool))
-    if n == 0:
+    if not m.any():
         raise ValueError("empty mask has no components")
-    counts = np.bincount(labels.ravel())[1:]
-    keep = int(np.argmax(counts)) + 1
-    return labels == keep
+    return _largest_components(m[None])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,33 +310,48 @@ def largest_component(mask) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _bilinear_resize_plane(img: np.ndarray, side: int) -> np.ndarray:
-    """Corner-aligned bilinear resize of one (H, W) plane to side x side."""
-    h, w = img.shape
+def _lerp_coords(n_src: int, side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corner-aligned sample points along one axis: lower and upper source
+    index and the fraction between them."""
+    if side == 1:
+        pos = np.array([(n_src - 1) / 2.0])
+    elif n_src == 1:
+        pos = np.zeros(side)
+    else:
+        pos = np.arange(side, dtype=np.float64) * (n_src - 1) / (side - 1)
+    i0 = np.clip(np.floor(pos).astype(int), 0, n_src - 1)
+    return i0, np.minimum(i0 + 1, n_src - 1), pos - i0
 
-    def coords(n_src: int) -> np.ndarray:
-        if side == 1:
-            return np.array([(n_src - 1) / 2.0])
-        if n_src == 1:
-            return np.zeros(side)
-        return np.arange(side, dtype=np.float64) * (n_src - 1) / (side - 1)
 
-    ys, xs = coords(h), coords(w)
-    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
+def _bilinear_resize(img: np.ndarray, side: int) -> np.ndarray:
+    """Corner-aligned bilinear resize of (..., H, W) planes to side x side.
 
-    v00 = img[np.ix_(y0, x0)]
-    v01 = img[np.ix_(y0, x1)]
-    v10 = img[np.ix_(y1, x0)]
-    v11 = img[np.ix_(y1, x1)]
-    # nested lerp keeps constants exact and stays inside [min, max]
-    top = v00 + fx * (v01 - v00)
-    bot = v10 + fx * (v11 - v10)
-    return top + fy * (bot - top)
+    Each source row is lerped along x once; the y lerp then mixes two of
+    those rows.  The nested lerp keeps constants exact and stays inside
+    [min, max].
+    """
+    y0, y1, fy = _lerp_coords(img.shape[-2], side)
+    x0, x1, fx = _lerp_coords(img.shape[-1], side)
+    left = img[..., x0]
+    rows = left + fx * (img[..., x1] - left)
+    top = rows[..., y0, :]
+    return top + fy[:, None] * (rows[..., y1, :] - top)
+
+
+def _roi_resize(source: np.ndarray, mask: np.ndarray, side: int) -> np.ndarray:
+    """Crop (..., H, W) planes to the bounding box of a nonempty (H, W)
+    mask, zero-pad to square (the odd leftover pixel goes to the
+    bottom/right) and resize to side x side."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    r0, r1 = int(rows[0]), int(rows[-1]) + 1
+    c0, c1 = int(cols[0]), int(cols[-1]) + 1
+    ch, cw = r1 - r0, c1 - c0
+    target = max(ch, cw)
+    top, left = (target - ch) // 2, (target - cw) // 2
+    square = np.zeros(source.shape[:-2] + (target, target))
+    square[..., top : top + ch, left : left + cw] = source[..., r0:r1, c0:c1]
+    return _bilinear_resize(square, side)
 
 
 def roi_resize(f, mask, side: int = 227) -> np.ndarray:
@@ -262,21 +369,6 @@ def roi_resize(f, mask, side: int = 227) -> np.ndarray:
     m = _as_binary(mask)
     if m.shape != data.shape[1:]:
         raise ValueError(f"mask shape {m.shape} does not match frame {data.shape[1:]}")
-    rows = np.flatnonzero(m.any(axis=1))
-    cols = np.flatnonzero(m.any(axis=0))
-    if rows.size == 0:
+    if not m.any():
         raise ValueError("empty mask: nothing to crop")
-    r0, r1 = int(rows[0]), int(rows[-1])
-    c0, c1 = int(cols[0]), int(cols[-1])
-    crop = data[:, r0 : r1 + 1, c0 : c1 + 1]
-    ch, cw = crop.shape[1], crop.shape[2]
-    target = max(ch, cw)
-    pad_r = target - ch
-    pad_c = target - cw
-    pads = (
-        (0, 0),
-        (pad_r // 2, pad_r - pad_r // 2),
-        (pad_c // 2, pad_c - pad_c // 2),
-    )
-    square = np.pad(crop, pads, mode="constant")
-    return np.stack([_bilinear_resize_plane(plane, side) for plane in square])
+    return _roi_resize(data, m, side)

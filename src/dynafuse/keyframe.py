@@ -3,6 +3,16 @@
 Low similarity between neighboring frames marks a salient pose change,
 so pairs are sorted ascending by similarity and the leading frame of
 each pair is picked until k key frames are collected.
+
+A depth video is processed whole, as its (n, 1, H, W) array.  Silhouettes
+and largest components of all n frames come from a few boolean array
+passes and one labelling call; each kept frame is then cropped and
+resized on its own, because every frame has its own bounding box.  The
+n - 1 pair similarities take 4 separable filter passes per frame (local
+mean and E[x^2], shared by the frame's two pairs) plus 2 per pair (the
+cross moment), instead of 10 per pair.  Beyond the processed
+(n_kept, 1, side, side) video the temporaries are O(n * H * W) booleans
+and the moments of two frames at a time.
 """
 
 from __future__ import annotations
@@ -50,34 +60,33 @@ class KeyframeSelection:
 def preprocess_video(
     video: VideoSequence, side: int = 227, on_silhouette: bool = True
 ) -> tuple[VideoSequence, list[int]]:
-    """Silhouette -> largest component -> square ROI resize for each depth frame.
+    """Silhouette -> largest component -> square ROI resize of a depth video.
 
     With ``on_silhouette`` the ROI content is the binary mask itself;
     otherwise the raw depth values are cropped.  Frames whose silhouette
     comes out empty are dropped; their 1-based indices are returned
     alongside the processed video.
     """
-    kept: list[np.ndarray] = []
-    dropped: list[int] = []
-    for i, depth in enumerate(video.data, start=1):
-        mask = imgproc.silhouette(depth)
-        try:
-            mask = imgproc.largest_component(mask)
-        except ValueError:  # empty silhouette
-            dropped.append(i)
-            continue
-        source = mask[None] if on_silhouette else depth
-        kept.append(imgproc.roi_resize(source, mask, side=side))
-    if not kept:
+    depth = imgproc._single_channel(video.data)
+    masks, found = imgproc._largest_components(imgproc._silhouettes(depth))
+    if not found.any():
         raise ValueError("all frames produced empty silhouettes")
-    processed = VideoSequence.from_frames(
-        kept,
+    if side < 1:
+        raise ValueError("side must be >= 1")
+    sources = masks if on_silhouette else depth
+    kept = np.flatnonzero(found)
+    data = np.empty((len(kept), 1, side, side))
+    for row, i in zip(data, kept):
+        row[0] = imgproc._roi_resize(sources[i], masks[i], side)
+    data.flags.writeable = False
+    processed = VideoSequence(
+        data,
         class_id=video.class_id,
         subject_id=video.subject_id,
         view_id=video.view_id,
         fps_hint=video.fps_hint,
     )
-    return processed, dropped
+    return processed, [int(i) + 1 for i in np.flatnonzero(~found)]
 
 
 def ssii_vector(video: VideoSequence, params: SsimParams | None = None) -> SsiiVector:
@@ -89,10 +98,9 @@ def ssii_vector(video: VideoSequence, params: SsimParams | None = None) -> SsiiV
     n = len(video)
     if n < 2:
         raise ValueError(f"need at least 2 frames, got {n}")
-    data = video.data
-    values = [(i, imgproc.ssim(data[i - 1], data[i], params).global_index) for i in range(1, n)]
-    values.sort(key=lambda e: (e[1], e[0]))
-    return SsiiVector(entries=tuple(values))
+    values = imgproc._consecutive_ssim(imgproc._single_channel(video.data), params)
+    entries = sorted(enumerate(values, start=1), key=lambda e: (e[1], e[0]))
+    return SsiiVector(entries=tuple(entries))
 
 
 def _pick(vec: SsiiVector, n: int, k: int, keyframe_of_pair: str) -> tuple[int, ...]:
@@ -169,9 +177,9 @@ def keyframe_stack(
 ) -> KeyframeStack:
     """Preprocess a raw depth video, rank its kept frames and stack the key frames.
 
-    Preprocessing and the similarity vector run once each (n - 1
-    similarity evaluations for n kept frames).  A video with a single
-    kept frame stacks that frame.
+    Preprocessing and the similarity vector run once each over the whole
+    video (n - 1 pair evaluations for n kept frames, sharing each frame's
+    local moments).  A video with a single kept frame stacks that frame.
     """
     processed, dropped = preprocess_video(video, side=side, on_silhouette=on_silhouette)
     n = len(processed)

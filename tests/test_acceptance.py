@@ -4,8 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines alongside the pytest verdicts.
 """
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,3 +233,11 @@ def test_criterion_10_determinism(synthetic_experiment):
     assert bytes_a == bytes_b
     print(f"\n[criterion 10] PASS: report JSON identical across runs "
           f"({len(bytes_a)} bytes)")
+
+
+def test_report_matches_benchmark_reference(synthetic_experiment):
+    """The seed-7, ROI-64 report is the one the benchmark's experiment_64
+    workload checks against, byte for byte."""
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    expected = json.loads(reference.read_text())["experiment_64"]["report_sha256"]
+    assert hashlib.sha256(synthetic_experiment[0][0]).hexdigest() == expected

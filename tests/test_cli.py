@@ -114,18 +114,20 @@ class TestKeyframesCommand:
         assert len(meta["frame_indices"]) == 3
 
     def test_reports_dropped_frames(self, tmp_path, monkeypatch, capsys):
-        """A blank frame is reported, and the 5 kept frames cost 4 SSIMs."""
+        """A blank frame is reported, and the 5 kept frames cost 4 pair
+        evaluations: one pass over the kept frames, none for the dropped one."""
         frames = depth_frames()
         frames[2] = np.zeros((1, 24, 24))
         make_video_dir(tmp_path / "vid", frames)
         calls = []
-        ssim = imgproc.ssim
+        consecutive_ssim = imgproc._consecutive_ssim
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return ssim(*args, **kwargs)
+        def counted(stack, *args, **kwargs):
+            values = consecutive_ssim(stack, *args, **kwargs)
+            calls.append((len(stack), len(values)))
+            return values
 
-        monkeypatch.setattr(imgproc, "ssim", counted)
+        monkeypatch.setattr(imgproc, "_consecutive_ssim", counted)
         out = tmp_path / "kf"
         assert cli.main(["keyframes", "--video", str(tmp_path / "vid"),
                          "--k", "3", "--roi-side", "16", "--out", str(out)]) == 0
@@ -133,9 +135,28 @@ class TestKeyframesCommand:
         assert meta["dropped_indices"] == [3]
         assert 3 not in meta["frame_indices"]
         assert "(1 dropped)" in capsys.readouterr().out
-        assert len(calls) == 4
+        assert calls == [(5, 4)]
         rows = out.with_suffix(".csv").read_text().splitlines()
         assert sorted(int(r.split(",")[0]) for r in rows[1:]) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "fmt, frames, flags, message",
+        [
+            ("pgm", depth_frames(), ["--roi-side", "8"], "window 11x11 larger than image 8x8"),
+            ("ppm", [np.repeat(f, 3, axis=0) for f in depth_frames()], ["--roi-side", "16"],
+             "expected single-channel input, got 3 channels"),
+        ],
+        ids=["roi_side_8", "three_channel_depth"],
+    )
+    def test_unusable_input_exits_1(self, tmp_path, capsys, fmt, frames, flags, message):
+        make_video_dir(tmp_path / "vid", frames, fmt=fmt)
+        out = tmp_path / "kf"
+        code = cli.main(["keyframes", "--video", str(tmp_path / "vid"), "--k", "3",
+                         *flags, "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": message}
+        assert not out.with_suffix(".rpt1").exists() and not out.with_suffix(".csv").exists()
 
     def test_config_sits_beside_outputs_for_dotted_out(self, tmp_path):
         make_video_dir(tmp_path / "vid", depth_frames())

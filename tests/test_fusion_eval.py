@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dynafuse.fusion_eval import (
     EvalReport,
@@ -104,6 +107,36 @@ class TestFuse:
         assert FusionMode.parse("Mul") is FusionMode.PRODUCT
         with pytest.raises(ValueError, match="unknown fusion mode"):
             FusionMode.parse("median")
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def score_stacks(draw):
+    """An (S, C) stack of score vectors on the simplex, S in 1..4, C in 2..6."""
+    s, c = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    raw = draw(hnp.arrays(np.float64, (s, c), elements=st.floats(1e-3, 1.0)))
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+class TestFuseProperties:
+    @PROPERTY
+    @given(stack=score_stacks(), data=st.data())
+    def test_stream_order_does_not_matter(self, stack, data):
+        perm = data.draw(st.permutations(range(len(stack))))
+        for mode in FusionMode:
+            np.testing.assert_allclose(fuse(stack[list(perm)], mode), fuse(stack, mode),
+                                       rtol=1e-12, atol=1e-15)
+
+    @PROPERTY
+    @given(stack=score_stacks(), copies=st.integers(1, 4))
+    def test_identical_streams_keep_their_argmax(self, stack, copies):
+        v = stack[0]
+        top = np.sort(v)[-2:]
+        assume(top[1] - top[0] > 1e-9 * top[1])  # a unique winner beyond rounding
+        for mode in FusionMode:
+            assert np.argmax(fuse([v] * copies, mode)) == np.argmax(v)
 
 
 def corpus_entries(views=3, subjects=4, classes=2):

@@ -1,10 +1,17 @@
-"""Key-frame selection determinism, tie-breaks and stack preprocessing."""
+"""Key-frame selection determinism, tie-breaks, stack preprocessing, and\nbit-identity of the whole-video shape stream with a per-frame oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
+from dynafuse import imgproc
+from dynafuse.imgproc import SsimParams
 from dynafuse.keyframe import (
     KeyframeSelection,
+    SsiiVector,
+    _pick,
     keyframe_stack,
     preprocess_video,
     select_keyframes,
@@ -165,3 +172,355 @@ class TestKeyframeStack:
     def test_silhouette_content_binary(self):
         stack = keyframe_stack(self.depth_video(), k=3, side=16)
         assert stack.frames.min() >= 0.0 and stack.frames.max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity with the per-frame pipeline
+#
+# The oracle below is the shape stream as it ran frame by frame and pair
+# by pair: scipy morphology and labelling per frame, a four-gather
+# bilinear resize per plane and a ten-pass SSIM per pair.  The whole-video
+# routines must reproduce it bit for bit, errors included.
+# ---------------------------------------------------------------------------
+
+SQUARE3 = np.ones((3, 3), dtype=bool)
+
+
+def oracle_silhouette(plane):
+    m = plane > 0.0
+    m = ndimage.binary_dilation(ndimage.binary_erosion(m, SQUARE3, border_value=0), SQUARE3, border_value=0)
+    return ndimage.binary_erosion(ndimage.binary_dilation(m, SQUARE3, border_value=0), SQUARE3, border_value=0)
+
+
+def oracle_largest_component(mask):
+    """The largest 8-connected component, or None for an empty mask."""
+    labels, n = ndimage.label(mask, structure=SQUARE3)
+    if n == 0:
+        return None
+    counts = np.bincount(labels.ravel())[1:]
+    return labels == int(np.argmax(counts)) + 1
+
+
+def oracle_resize_plane(img, side):
+    h, w = img.shape
+
+    def coords(n_src):
+        if side == 1:
+            return np.array([(n_src - 1) / 2.0])
+        if n_src == 1:
+            return np.zeros(side)
+        return np.arange(side, dtype=np.float64) * (n_src - 1) / (side - 1)
+
+    ys, xs = coords(h), coords(w)
+    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    v00 = img[np.ix_(y0, x0)]
+    v01 = img[np.ix_(y0, x1)]
+    v10 = img[np.ix_(y1, x0)]
+    v11 = img[np.ix_(y1, x1)]
+    top = v00 + fx * (v01 - v00)
+    bot = v10 + fx * (v11 - v10)
+    return top + fy * (bot - top)
+
+
+def oracle_roi_resize(data, mask, side):
+    if side < 1:
+        raise ValueError("side must be >= 1")
+    data = np.asarray(data, dtype=np.float64)
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    crop = data[:, rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    pad_r = max(crop.shape[1:]) - crop.shape[1]
+    pad_c = max(crop.shape[1:]) - crop.shape[2]
+    pads = ((0, 0), (pad_r // 2, pad_r - pad_r // 2), (pad_c // 2, pad_c - pad_c // 2))
+    square = np.pad(crop, pads, mode="constant")
+    return np.stack([oracle_resize_plane(plane, side) for plane in square])
+
+
+def oracle_ssim(a, b, p):
+    side = 2 * p.window_radius + 1
+    if a.shape[0] < side or a.shape[1] < side:
+        raise ValueError(f"window {side}x{side} larger than image {a.shape[0]}x{a.shape[1]}")
+    x = np.arange(-p.window_radius, p.window_radius + 1, dtype=np.float64)
+    w = np.exp(-(x * x) / (2.0 * p.window_sigma * p.window_sigma))
+    w = w / w.sum()
+
+    def lm(img):
+        tmp = ndimage.correlate1d(img, w, axis=0, mode="reflect")
+        return ndimage.correlate1d(tmp, w, axis=1, mode="reflect")
+
+    mu1 = lm(a)
+    mu2 = lm(b)
+    var1 = np.maximum(lm(a * a) - mu1 * mu1, 0.0)
+    var2 = np.maximum(lm(b * b) - mu2 * mu2, 0.0)
+    cov = lm(a * b) - mu1 * mu2
+    sig1 = np.sqrt(var1)
+    sig2 = np.sqrt(var2)
+    lum = (2.0 * mu1 * mu2 + p.k1) / (mu1 * mu1 + mu2 * mu2 + p.k1)
+    con = (2.0 * sig1 * sig2 + p.k2) / (var1 + var2 + p.k2)
+    struct = (cov + p.k3) / (sig1 * sig2 + p.k3)
+    return float((lum**p.alpha * con**p.beta * struct**p.gamma_exp).mean())
+
+
+def oracle_keyframe_stack(video, k=10, side=227, on_silhouette=True, params=None,
+                          keyframe_of_pair="first"):
+    """(frame bytes, frame_indices, dropped_indices, ssii entries)."""
+    p = params or SsimParams()
+    kept, dropped = [], []
+    for i, depth in enumerate(video.data, start=1):
+        if depth.shape[0] != 1:
+            raise ValueError(f"expected single-channel input, got {depth.shape[0]} channels")
+        mask = oracle_largest_component(oracle_silhouette(depth[0]))
+        if mask is None:
+            dropped.append(i)
+            continue
+        kept.append(oracle_roi_resize(mask[None] if on_silhouette else depth, mask, side))
+    if not kept:
+        raise ValueError("all frames produced empty silhouettes")
+    planes = VideoSequence.from_frames(kept).data[:, 0]
+    n = len(planes)
+    values = [(i, oracle_ssim(planes[i - 1], planes[i], p)) for i in range(1, n)]
+    values.sort(key=lambda e: (e[1], e[0]))
+    vec = SsiiVector(entries=tuple(values))
+    picked = _pick(vec, n, k, keyframe_of_pair)
+    kept_raw = [i for i in range(1, len(video) + 1) if i not in dropped]
+    frames = planes[np.subtract(picked, 1)]
+    return frames.tobytes(), tuple(kept_raw[i - 1] for i in picked), tuple(dropped), vec.entries
+
+
+def stack_outputs(video, **kwargs):
+    stack = keyframe_stack(video, **kwargs)
+    return stack.frames.tobytes(), stack.frame_indices, stack.dropped_indices, stack.ssii.entries
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+def assert_matches_oracle(video, **kwargs):
+    assert outcome(stack_outputs, video, **kwargs) == outcome(oracle_keyframe_stack, video, **kwargs)
+
+
+def unchecked_video(data):
+    """A VideoSequence holding ``data`` without the constructor's checks, to
+    show what the pipeline itself does with values no loader lets through."""
+    video = object.__new__(VideoSequence)
+    for name, value in (("data", data), ("class_id", 0), ("subject_id", 0), ("view_id", 0),
+                        ("fps_hint", None)):
+        object.__setattr__(video, name, value)
+    return video
+
+
+FRAME_KINDS = ("empty", "speckles", "blocks", "twins", "line", "noise")
+FRAME_WEIGHTS = (0.1, 0.1, 0.3, 0.2, 0.15, 0.15)
+
+
+def draw_plane(rng, kind, h, w):
+    plane = np.zeros((h, w))
+    if kind == "speckles":
+        plane[rng.random((h, w)) < 0.08] = 1.0
+    elif kind == "blocks":
+        for _ in range(rng.integers(1, 4)):
+            y, x = rng.integers(0, h), rng.integers(0, w)
+            plane[y : y + rng.integers(3, h + 3), x : x + rng.integers(3, w + 3)] = 1.0
+    elif kind == "twins":  # two components of one size: the tie goes to scan order
+        bh, bw = (rng.integers(min(3, n), max(n // 2, min(3, n)) + 1) for n in (h, w))
+        for _ in range(2):
+            y, x = rng.integers(0, h - bh + 1), rng.integers(0, w - bw + 1)
+            plane[y : y + bh, x : x + bw] = 1.0
+    elif kind == "line":  # a 1-px line, which opening removes, beside an optional block
+        if rng.random() < 0.5:
+            plane[rng.integers(0, h), :] = 1.0
+        else:
+            plane[:, rng.integers(0, w)] = 1.0
+        if rng.random() < 0.7:
+            y, x = rng.integers(0, h), rng.integers(0, w)
+            plane[y : y + 4, x : x + 5] = 1.0
+    elif kind == "noise":
+        plane[rng.random((h, w)) < rng.uniform(0.2, 0.9)] = 1.0
+    if rng.random() < 0.5:  # graded depth, which the raw ROI copies
+        plane *= rng.uniform(0.05, 1.0, (h, w))
+    return plane
+
+
+@st.composite
+def depth_videos(draw, max_frames=7):
+    """Small depth videos with (mostly non-square) frames of mixed content;
+    usually one frame also holds a 3x3+ block, which always survives.  The
+    structure comes from the drawn seed, so sizes and frame counts spread
+    evenly instead of clustering at their bounds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h, w = (int(rng.integers(1, 4) if rng.random() < 0.15 else rng.integers(8, 25)) for _ in "hw")
+    kinds = rng.choice(FRAME_KINDS, size=rng.integers(1, max_frames + 1), p=FRAME_WEIGHTS)
+    planes = [draw_plane(rng, kind, h, w) for kind in kinds]
+    if h >= 3 and w >= 3 and rng.random() < 0.7:
+        y, x = rng.integers(0, h - 2), rng.integers(0, w - 2)
+        planes[rng.integers(0, len(planes))][y : y + rng.integers(3, 9), x : x + rng.integers(3, 9)] = 1.0
+    return make_video(planes)
+
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+class TestMatchesPerFrameOracle:
+    @PROPERTY
+    @given(
+        video=depth_videos(),
+        k=st.integers(1, 6),
+        side=st.sampled_from([11, 16, 64]),
+        on_silhouette=st.booleans(),
+        keyframe_of_pair=st.sampled_from(["first", "second"]),
+    )
+    def test_keyframe_stack_is_bit_identical(self, video, k, side, on_silhouette, keyframe_of_pair):
+        assert_matches_oracle(video, k=k, side=side, on_silhouette=on_silhouette,
+                              keyframe_of_pair=keyframe_of_pair)
+
+    @pytest.mark.parametrize("side", [11, 16, 64])
+    def test_equal_components_lines_and_speckles(self, side):
+        late = np.zeros((18, 13))
+        late[12:16, 1:5] = 1.0  # later in scan order
+        late[2:6, 8:12] = 0.5  # same size, first pixel earlier
+        line = np.zeros((18, 13))
+        line[9, :] = 1.0
+        line[3:8, 2:6] = 0.7
+        vline = np.zeros((18, 13))
+        vline[:, 6] = 1.0
+        vline[10:15, 8:12] = 0.9
+        speck = np.zeros((18, 13))
+        speck[::4, ::3] = 1.0
+        video = make_video([late, line, speck, late[::-1], vline])
+        for on_silhouette in (True, False):
+            assert_matches_oracle(video, k=3, side=side, on_silhouette=on_silhouette)
+
+    def test_ssim_parameters_reach_both_paths(self):
+        rng = np.random.default_rng(34)
+        video = make_video([draw_plane(rng, "blocks", 20, 17) + (t == 0) for t in range(5)])
+        params = SsimParams(alpha=1.0, beta=0.25, gamma_exp=2.0, window_radius=3, window_sigma=0.9)
+        assert_matches_oracle(video, k=2, side=16, params=params, on_silhouette=False)
+
+
+class TestErrorParity:
+    """The whole-video path fails exactly where and how the per-frame one did."""
+
+    def test_three_channel_depth(self):
+        video = VideoSequence(np.ones((3, 3, 16, 16)))
+        assert_matches_oracle(video, side=16)
+        with pytest.raises(ValueError, match="expected single-channel input, got 3 channels"):
+            keyframe_stack(video, side=16)
+
+    def test_side_zero(self):
+        video = TestKeyframeStack().depth_video(n=4)
+        assert_matches_oracle(video, side=0)
+        with pytest.raises(ValueError, match="side must be >= 1"):
+            keyframe_stack(video, side=0)
+
+    def test_side_below_window_with_two_kept_frames(self):
+        video = TestKeyframeStack().depth_video(n=4)
+        assert_matches_oracle(video, side=8)
+        with pytest.raises(ValueError, match="window 11x11 larger than image 8x8"):
+            keyframe_stack(video, side=8)
+
+    def test_single_kept_frame_needs_no_window(self):
+        empty = np.zeros((16, 16))
+        video = make_video([empty, block_frame(), empty])
+        for side in (1, 8):
+            assert_matches_oracle(video, side=side)
+            assert keyframe_stack(video, side=side).frames.shape == (1, side, side)
+
+    def test_all_empty_video(self):
+        video = make_video([np.zeros((16, 16))] * 3)
+        for side in (0, 16):
+            assert_matches_oracle(video, side=side)
+
+    def test_nan_depth(self):
+        """No loader lets NaN through; past that check, NaN depth counts as
+        background for the mask and fails the raw ROI's own check."""
+        data = np.zeros((3, 1, 16, 16))
+        data[:, 0, 3:12, 4:12] = 0.5
+        data[1, 0, 6, 6] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            VideoSequence(data)
+        video = unchecked_video(data)
+        for on_silhouette in (True, False):
+            assert_matches_oracle(video, side=16, on_silhouette=on_silhouette)
+        with pytest.raises(ValueError, match="non-finite"):
+            keyframe_stack(video, side=16, on_silhouette=False)
+
+
+class TestWholeVideoRoutines:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        channels=st.integers(1, 3),
+        h=st.integers(1, 40),
+        w=st.integers(1, 40),
+        side=st.integers(1, 70),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(channels=1, h=1, w=1, side=1, seed=0)
+    @example(channels=1, h=1, w=9, side=5, seed=1)
+    @example(channels=2, h=7, w=1, side=1, seed=2)
+    def test_separable_resize_matches_four_gather_resize(self, channels, h, w, side, seed):
+        img = np.random.default_rng(seed).random((channels, h, w))
+        expected = np.stack([oracle_resize_plane(plane, side) for plane in img])
+        assert imgproc._bilinear_resize(img, side).tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 3),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        side=st.sampled_from([3, 5, 7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, h=1, w=5, side=3, seed=0)
+    @example(n=2, h=2, w=1, side=5, seed=1)
+    def test_morphology_matches_scipy(self, n, h, w, side, seed):
+        rng = np.random.default_rng(seed)
+        masks = rng.random((n, h, w)) < rng.random()
+        se = rng.random((side, side)) < 0.6
+        se[side // 2, 0] = True  # never empty, often asymmetric
+        eroded = imgproc._morph(masks, se, erode=True)
+        dilated = imgproc._morph(masks, se, erode=False)
+        for i in range(n):
+            want_e = ndimage.binary_erosion(masks[i], structure=se, border_value=0)
+            want_d = ndimage.binary_dilation(masks[i], structure=se, border_value=0)
+            np.testing.assert_array_equal(eroded[i], want_e)
+            np.testing.assert_array_equal(dilated[i], want_d)
+            np.testing.assert_array_equal(imgproc.erode(masks[i], se), want_e)
+            np.testing.assert_array_equal(imgproc.dilate(masks[i], se), want_d)
+
+    @PROPERTY
+    @given(video=depth_videos(max_frames=6))
+    def test_silhouettes_and_components_match_per_frame(self, video):
+        depth = video.data[:, 0]
+        masks, found = imgproc._largest_components(imgproc._silhouettes(depth))
+        for i, plane in enumerate(depth):
+            want = oracle_largest_component(oracle_silhouette(plane))
+            assert found[i] == (want is not None)
+            np.testing.assert_array_equal(masks[i], want if want is not None else False)
+
+
+class TestStackProperties:
+    @PROPERTY
+    @given(video=depth_videos(max_frames=6), k=st.integers(1, 8),
+           keyframe_of_pair=st.sampled_from(["first", "second"]))
+    def test_indices_increase_and_skip_dropped_frames(self, video, k, keyframe_of_pair):
+        try:
+            stack = keyframe_stack(video, k=k, side=11, keyframe_of_pair=keyframe_of_pair)
+        except ValueError as exc:
+            assert str(exc) == "all frames produced empty silhouettes"
+            return
+        idx = stack.frame_indices
+        n_kept = len(video) - len(stack.dropped_indices)
+        assert all(b > a for a, b in zip(idx, idx[1:]))
+        assert len(idx) == min(k, n_kept) == len(stack.frames)
+        assert not set(idx) & set(stack.dropped_indices)
+        assert set(idx) <= set(range(1, len(video) + 1))
