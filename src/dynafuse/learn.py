@@ -135,15 +135,32 @@ class AdamState:
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
+        self._scratch = (np.empty(shape), np.empty(shape))
 
     def update(self, param: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """One Adam step on ``param`` in place; returns ``param``.
+
+        Every operation is the textbook formula's, in its order, written
+        into preallocated arrays, so no temporary the size of the
+        parameters is allocated.
+        """
         cfg = self.cfg
         self.t += 1
-        self.m = cfg.beta1 * self.m + (1.0 - cfg.beta1) * grad
-        self.v = cfg.beta2 * self.v + (1.0 - cfg.beta2) * grad * grad
-        m_hat = self.m / (1.0 - cfg.beta1**self.t)
-        v_hat = self.v / (1.0 - cfg.beta2**self.t)
-        return param - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        term, step = self._scratch
+        self.m *= cfg.beta1  # m = beta1 m + (1 - beta1) g
+        self.m += np.multiply(1.0 - cfg.beta1, grad, out=term)
+        np.multiply(1.0 - cfg.beta2, grad, out=term)  # v = beta2 v + (1 - beta2) g g
+        term *= grad
+        self.v *= cfg.beta2
+        self.v += term
+        np.divide(self.v, 1.0 - cfg.beta2**self.t, out=term)  # sqrt(v_hat) + eps
+        np.sqrt(term, out=term)
+        term += cfg.epsilon
+        np.divide(self.m, 1.0 - cfg.beta1**self.t, out=step)  # lr m_hat / (...)
+        step *= cfg.learning_rate
+        step /= term
+        param -= step
+        return param
 
 
 def train(
@@ -198,7 +215,7 @@ def train(
     b = np.zeros(num_classes)
     adam_w = AdamState(w.shape, cfg)
     adam_b = AdamState(b.shape, cfg)
-    best_w, best_b = w, b  # AdamState.update returns new arrays, never mutates
+    best_w, best_b = w, b  # updated in place: copied whenever validation improves
     best_acc = -1.0
     log = TrainLog()
 
@@ -209,8 +226,8 @@ def train(
         for start in range(0, n_train, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
             loss, g_w, g_b = _cross_entropy_and_grads(z_train[batch], y_train[batch], w, b)
-            w = adam_w.update(w, g_w)
-            b = adam_b.update(b, g_b)
+            adam_w.update(w, g_w)
+            adam_b.update(b, g_b)
             batch_losses.append(loss)
         log.train_loss.append(float(np.mean(batch_losses)))
         if n_val > 0:
@@ -220,7 +237,7 @@ def train(
             if acc > best_acc:
                 best_acc = acc
                 log.best_epoch = epoch
-                best_w, best_b = w, b
+                best_w, best_b = w.copy(), b.copy()
         else:
             log.val_accuracy.append(float("nan"))
             best_w, best_b = w, b

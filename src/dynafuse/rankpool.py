@@ -9,9 +9,16 @@ feature averages Q_t increase with time, by minimizing
 with full-batch subgradient descent.  The hinge subgradient is summed
 per frame, not per pair: with c_t the number of active pairs in which
 frame t is the earlier frame minus those in which it is the later one,
-sum_active (Q_t1 - Q_t2) = c^T Q.  A step therefore costs O(N^2 + N d)
-time and holds O(N^2) booleans and floats next to the (N, d) running
-averages; nothing of shape (N (N-1) / 2, d) is built.
+sum_active (Q_t1 - Q_t2) = c^T Q.  Every iterate is therefore r = Q^T alpha
+for an N-vector alpha, and the solver works in that form: after one
+O(N^2 d) Gram product G = Q Q^T the scores are G alpha, ||r||^2 is
+alpha . G alpha, and each evaluated step costs O(N^2), whatever d is.
+While the set of active pairs stays fixed the steps are an affine
+iteration with a closed form, so the solver jumps over them in one
+evaluation; the number of evaluations follows the changes of the active
+set, not the iterations.  The solver holds a few (N, N) float64 arrays
+next to the (N, d) running averages, and rejects N > MAX_FRAMES (4096)
+before allocating any; nothing of shape (N (N-1) / 2, d) is built.
 
 The approximate form is the first gradient step from r = 0, which
 collapses to content-independent per-frame coefficients
@@ -31,6 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensorio import FeatureSequence, VideoSequence
+
+# The exact solver holds a few (n, n) float64 arrays, 128 MiB each at this
+# many frames; longer sequences are rejected before any is allocated.
+MAX_FRAMES = 4096
+# A skipped step must lower the objective by this share of it on top of
+# ``tol``: far above the rounding of one evaluation, so every skipped step
+# is one that the step-by-step descent would have accepted.
+_ROUNDING = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -135,13 +150,64 @@ def time_average(seq: FeatureSequence) -> np.ndarray:
 
 
 def _evaluate(
-    r: np.ndarray, q: np.ndarray, lam: float, pair_scale: float, upper: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Objective at r and the mask of active hinge pairs, indexed [t1, t2]."""
-    scores = q @ r
+    alpha: np.ndarray, gram: np.ndarray, lam: float, pair_scale: float, upper: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Objective at r = Q^T alpha, the float 0/1 mask of active hinge pairs
+    and the margins, both indexed [t1, t2]."""
+    scores = gram @ alpha  # Q r
     margins = 1.0 - scores[None, :] + scores[:, None]  # [t1, t2] = 1 - s(t2) + s(t1)
-    hinge = np.maximum(margins[upper], 0.0).sum()
-    return 0.5 * lam * float(r @ r) + pair_scale * float(hinge), (margins > 0.0) & upper
+    active = ((margins > 0.0) & upper).astype(np.float64)
+    hinge = np.vdot(margins, active)  # not |A| + scores . net, which cancels
+    return 0.5 * lam * float(alpha @ scores) + pair_scale * float(hinge), active, margins
+
+
+def _steps_to_skip(
+    direction: np.ndarray,
+    gram: np.ndarray,
+    margins: np.ndarray,
+    upper: np.ndarray,
+    lam: float,
+    step: float,
+    floor: float,
+    limit: int,
+) -> int:
+    """How many steps of size ``step`` can be taken at once from alpha.
+
+    While the active set is fixed, one step maps alpha to
+    a alpha + (1 - a) alpha*, with a = 1 - step lam and alpha* the
+    minimizer of the quadratic that the set defines, so after k steps
+    alpha_k = alpha + (a^k - 1) direction / lam.  Each margin then moves
+    monotonically, as m + (a^k - 1) b with b = (u[t1] - u[t2]) / lam for
+    u = G direction, and changes sides at the least k with a^k <= 1 - m / b.
+    Step k lowers the objective by D (1 - a^2) a^(2k), with
+    D = direction . u / (2 lam).  The count returned, at most ``limit``,
+    stops before the first change of the active set and keeps every
+    skipped step's improvement at or above ``floor``; it is 0 when a is
+    not in (0, 1).
+    """
+    if limit < 2 or not 0.0 < step * lam < 1.0:
+        return 0
+    log_a = math.log1p(-step * lam)
+    moved = gram @ direction
+    first_gain = float(direction @ moved) * (-math.expm1(2.0 * log_a) / (2.0 * lam))
+    if not first_gain > floor:
+        return 0
+    skip = float(limit)
+    if floor > 0.0:
+        last = (math.log(floor) - math.log(first_gain)) / (2.0 * log_a)
+        if last < skip:
+            skip = math.floor(last) + 1.0
+    # lam b / m over the pairs: a pair changes sides iff it exceeds lam,
+    # and the largest one changes sides first
+    speed = np.zeros_like(margins)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(moved[:, None] - moved[None, :], margins, out=speed, where=upper)
+    fastest = np.fmax.reduce(speed, axis=None)
+    if fastest > lam:
+        first_change = math.log1p(-lam / fastest) / log_a
+        if first_change <= skip:
+            skip = math.ceil(first_change) - 1.0
+    return int(skip)
 
 
 def exact_rank_pool(
@@ -156,13 +222,19 @@ def exact_rank_pool(
     The step is halved whenever a proposal would increase the objective,
     so accepted iterations are non-increasing.  Stopping on an objective
     improvement below ``tol`` sets ``converged``; hitting ``max_iter``
-    leaves it false (not an error).  Raises ValueError for fewer than two
-    vectors, ``lam`` or ``step`` not finite and > 0, ``max_iter`` < 0, or
-    ``tol`` not finite and >= 0.
+    leaves it false (not an error).  A run of steps that keeps the active
+    set is taken as one jump; the iterations, stop and result are those of
+    taking the steps one by one.  Raises ValueError for fewer than two
+    or more than MAX_FRAMES vectors, ``lam`` or ``step`` not finite and
+    > 0, ``max_iter`` < 0, or ``tol`` not finite and >= 0.
     """
     n = len(seq)
     if n < 2:
         raise ValueError(f"need at least 2 feature vectors, got {n}")
+    if n > MAX_FRAMES:
+        raise ValueError(
+            f"exact rank pooling holds (n, n) arrays: n = {n} exceeds the bound of {MAX_FRAMES}"
+        )
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be finite and > 0, got {lam}")
     if not (math.isfinite(step) and step > 0):
@@ -172,21 +244,46 @@ def exact_rank_pool(
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     q = time_average(seq)
+    gram = q @ q.T
     pair_scale = 2.0 / (n * (n - 1))
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    ones = np.ones(n)
 
-    r = np.zeros(seq.dim)
-    obj, active = _evaluate(r, q, lam, pair_scale, upper)
+    alpha = np.zeros(n)  # r = Q^T alpha throughout
+    obj, active, margins = _evaluate(alpha, gram, lam, pair_scale, upper)
     iterations = 0
     converged = False
     cur_step = step
-    for _ in range(max_iter):
-        net = active.sum(axis=1) - active.sum(axis=0)  # c_t of the module docstring
-        grad = lam * r + pair_scale * (net @ q)
+    last_net = None  # the counts before the last plain step, None after a jump
+    while iterations < max_iter:
+        net = active @ ones - ones @ active  # c_t of the module docstring
+        direction = lam * alpha + pair_scale * net  # the subgradient is Q^T direction
+        # Right after a change of the active set (or a jump, which stops
+        # before one) the next step mostly changes it again: look for steps
+        # to skip only once a plain step has kept the per-frame counts.
+        if last_net is not None and np.array_equal(net, last_net):
+            floor = tol + _ROUNDING * obj
+            skip = _steps_to_skip(
+                direction, gram, margins, upper, lam, cur_step, floor, max_iter - iterations
+            )
+            if skip > 1:
+                shrink = math.expm1(skip * math.log1p(-cur_step * lam))  # a^skip - 1
+                target = alpha + (shrink / lam) * direction
+                target_obj, target_active, target_margins = _evaluate(
+                    target, gram, lam, pair_scale, upper
+                )
+                if target_obj < obj and np.array_equal(target_active, active):
+                    alpha, obj, margins = target, target_obj, target_margins
+                    iterations += skip
+                    last_net = None
+                    continue
+        last_net = net
         accepted = False
         while cur_step > 1e-16:
-            candidate = r - cur_step * grad
-            cand_obj, cand_active = _evaluate(candidate, q, lam, pair_scale, upper)
+            candidate = alpha - cur_step * direction
+            cand_obj, cand_active, cand_margins = _evaluate(
+                candidate, gram, lam, pair_scale, upper
+            )
             if cand_obj < obj:
                 accepted = True
                 break
@@ -195,12 +292,11 @@ def exact_rank_pool(
             converged = True
             break
         improvement = obj - cand_obj
-        r, obj, active = candidate, cand_obj, cand_active
+        alpha, obj, active, margins = candidate, cand_obj, cand_active, cand_margins
         iterations += 1
         if improvement < tol:
             converged = True
             break
     return RankVector(
-        r=r, lam=lam, iterations=iterations, final_objective=obj, converged=converged
+        r=alpha @ q, lam=lam, iterations=iterations, final_objective=obj, converged=converged
     )
-

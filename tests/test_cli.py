@@ -1,6 +1,9 @@
 """Subcommand wiring: exit codes, emitted files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +214,47 @@ class TestRankpoolExactCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert f"{flags[0][2:].replace('-', '_')} must be" in err["message"]
+        assert not out.exists()
+
+    def test_too_many_frames_exit_1(self, tmp_path, capsys):
+        """A 16 KB file of 4097 one-number frames asks for (n, n) arrays past
+        the solver's bound: the JSON error, no traceback and no output."""
+        feat = tmp_path / "long.rpt1"
+        write_feature_sequence(FeatureSequence(vectors=np.zeros((4097, 1))), feat)
+        assert feat.stat().st_size < 17_000
+        out = tmp_path / "rank.json"
+        code = cli.main(["rankpool-exact", "--features", str(feat), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "n = 4097" in payload["message"] and "4096" in payload["message"]
+        assert not out.exists()
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_from_a_checkout(self, tmp_path):
+        """``PYTHONPATH=src python -m dynafuse`` runs a subcommand and passes
+        its exit code on, with nothing installed."""
+        feat = tmp_path / "seq.rpt1"
+        write_feature_sequence(FeatureSequence(vectors=np.array([[0.0], [1.0]])), feat)
+        out = tmp_path / "rank.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+        def run(*flags):
+            argv = [sys.executable, "-m", "dynafuse", "rankpool-exact",
+                    "--features", str(feat), "--out", str(out), *flags]
+            return subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True,
+                                  text=True, timeout=120)
+
+        done = run("--lam", "0.01")
+        assert done.returncode == 0, done.stderr
+        assert abs(json.loads(out.read_text())["r"][0] - 2.0) <= 1e-3
+        out.unlink()
+        failed = run("--step", "0")
+        assert failed.returncode == 1
+        assert json.loads(failed.stderr)["error"] == "ValueError"
         assert not out.exists()
 
 

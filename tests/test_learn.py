@@ -114,6 +114,19 @@ class TestTrain:
         assert accs[log.best_epoch - 1] == max(accs)
         assert log.best_epoch - 1 == accs.index(max(accs))
 
+    def test_best_epoch_parameters_survive_later_updates(self):
+        """Adam updates the weights in place, so the kept parameters must be
+        a copy: they equal a run stopped at the best epoch, bit for bit."""
+        rng = np.random.default_rng(2)
+        samples = [(rng.standard_normal(4) + c * 0.6, c) for c in (0, 1, 2) for _ in range(12)]
+        cfg = AdamConfig(seed=2, epochs=30, learning_rate=0.05)
+        model, log = train(samples, num_classes=3, cfg=cfg)
+        assert 1 <= log.best_epoch < cfg.epochs
+        short = AdamConfig(seed=2, epochs=log.best_epoch, learning_rate=0.05)
+        stopped, _ = train(samples, num_classes=3, cfg=short)
+        np.testing.assert_array_equal(model.weights, stopped.weights)
+        np.testing.assert_array_equal(model.bias, stopped.bias)
+
 
 class TestPredict:
     def test_zero_model_uniform(self):
@@ -206,6 +219,28 @@ class TestAdam:
             w = state.update(w, grad)
         diffs = np.diff(losses[50:])
         assert np.all(diffs < 0)
+
+    def test_in_place_update_matches_the_allocating_formula(self):
+        """update writes param, m and v in place and gives the textbook
+        formula's values bit for bit."""
+        cfg = AdamConfig(learning_rate=1e-2)
+        rng = np.random.default_rng(60)
+        param = rng.standard_normal((3, 5))
+        expected = param.copy()
+        m = np.zeros_like(param)
+        v = np.zeros_like(param)
+        state = AdamState(param.shape, cfg)
+        for t in range(1, 40):
+            grad = rng.standard_normal(param.shape)
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
+            m_hat = m / (1.0 - cfg.beta1**t)
+            v_hat = v / (1.0 - cfg.beta2**t)
+            expected = expected - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            assert state.update(param, grad) is param
+            np.testing.assert_array_equal(param, expected)
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
 
 
 class TestPooling:

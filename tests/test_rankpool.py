@@ -4,8 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dynafuse import rankpool, synthgen
 from dynafuse.rankpool import (
+    MAX_FRAMES,
     RankVector,
     arp_coefficients,
     dynamic_feature,
@@ -297,6 +301,77 @@ class TestExactRankPool:
                 assert result.converged == converged
                 assert np.linalg.norm(result.r - r) <= 1e-12 * np.linalg.norm(r)
                 assert abs(result.final_objective - objective) <= 1e-12 * objective
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(2, 24),
+        d=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(1e-3, 1.0),
+        step=st.floats(0.01, 1.0),
+        tol=st.sampled_from([0.0, 1e-8, 1e-4]),
+        max_iter=st.integers(0, 3000),
+    )
+    # long runs of small steps, where most steps are jumped over
+    @example(n=24, d=8, seed=1, lam=1e-3, step=0.01, tol=1e-8, max_iter=3000)
+    @example(n=20, d=3, seed=2, lam=0.01, step=0.1, tol=1e-8, max_iter=3000)
+    @example(n=12, d=5, seed=3, lam=0.05, step=0.3, tol=1e-4, max_iter=3000)
+    @example(n=16, d=2, seed=4, lam=2e-3, step=0.05, tol=1e-8, max_iter=900)
+    def test_matches_pairwise_oracle_property(self, n, d, seed, lam, step, tol, max_iter):
+        """The Gram-form solver with its jumps takes the pairwise solver's
+        path: the same accepted steps, stop and values up to reordered sums.
+
+        With tol = 0 the descent goes on until no halved step lowers the
+        objective, so its last steps turn on margins at rounding level and
+        any reordering of the sums changes them (the per-frame solver
+        before the Gram form already differed from this oracle in
+        iterations there).  For those runs only the objectives must agree.
+        """
+        s = seq(np.random.default_rng(seed).standard_normal((n, d)))
+        r, iterations, objective, converged = exact_rank_pool_oracle(
+            s, lam, step=step, max_iter=max_iter, tol=tol
+        )
+        result = exact_rank_pool(s, lam=lam, step=step, max_iter=max_iter, tol=tol)
+        if tol == 0.0:
+            assert abs(result.final_objective - objective) <= 1e-9 * objective
+            return
+        assert result.iterations == iterations
+        assert result.converged == converged
+        assert np.linalg.norm(result.r - r) <= 1e-12 * np.linalg.norm(r)
+        assert abs(result.final_objective - objective) <= 1e-12 * objective
+
+    def test_jumps_cut_evaluations_below_a_third_of_iterations(self, monkeypatch):
+        """A 64-frame solve on 8x8-pooled RGB frames of a synthetic video
+        (d = 192) spends one objective evaluation on each run of steps
+        with a fixed active set, not one per step."""
+        config = synthgen.SynthConfig(
+            subjects=1, views=1, frames_per_video=64, frame_side=32, seed=7
+        )
+        video = synthgen.generate(config)[0].rgb.data  # (64, 3, 32, 32)
+        vectors = video.reshape(64, 3, 8, 4, 8, 4).mean(axis=(3, 5)).reshape(64, 192)
+        calls = []
+        evaluate = rankpool._evaluate
+
+        def counted(*args):
+            calls.append(1)
+            return evaluate(*args)
+
+        monkeypatch.setattr(rankpool, "_evaluate", counted)
+        result = exact_rank_pool(seq(vectors), lam=0.01)
+        assert result.converged and result.iterations > 1000
+        assert 3 * len(calls) < result.iterations
+
+    def test_rejects_more_frames_than_the_bound_before_allocating(self):
+        """Past MAX_FRAMES the (n, n) working set is refused up front."""
+        s = seq(np.zeros((MAX_FRAMES + 1, 1)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"n = {MAX_FRAMES + 1} .*{MAX_FRAMES}"):
+                exact_rank_pool(s, lam=0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (MAX_FRAMES + 1) ** 2  # one (n, n) bool mask would be this
 
     def test_memory_is_linear_in_frames_times_dim(self):
         """No per-pair (N(N-1)/2, d) array: the pairwise form would hold
