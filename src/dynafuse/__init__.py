@@ -8,7 +8,7 @@ from .tensorio import (
     write_frame,
     write_tensor,
 )
-from .imgproc import SsimParams, SsimResult, StructuringElement, ssim
+from .imgproc import SsimResult, ssim
 from .keyframe import KeyframeSelection, SsiiVector, select_keyframes, ssii_vector
 from .rankpool import (
     ArpCoefficients,

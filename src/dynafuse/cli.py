@@ -1,9 +1,9 @@
 """Command-line surface: deterministic subcommands over the pipeline modules.
 
-Every subcommand is a thin wrapper over one module operation, writes a
-resolved-config JSON next to its outputs, and reports errors as one JSON
-object on stderr.  Exit codes: 0 success, 1 validation error, 2 I/O
-error.
+Every subcommand is a thin wrapper over one module operation.  Once it
+succeeds, a resolved-config JSON is written next to its outputs; errors
+are reported as one JSON object on stderr.  Exit codes: 0 success, 1
+validation error, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import fusion_eval, keyframe, learn, rankpool, synthgen, tensorio
-from .imgproc import SsimParams
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,12 +33,13 @@ def _int_list(text: str) -> list[int]:
 
 
 def _write_run_config(args: argparse.Namespace, anchor: Path) -> None:
+    """Record the resolved arguments beside a file anchor or inside a
+    directory anchor (one without a suffix)."""
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
     resolved = {k: (str(v) if isinstance(v, Path) else v) for k, v in resolved.items()}
     if anchor.suffix:
         path = anchor.with_name(anchor.name + ".config.json")
     else:
-        anchor.mkdir(parents=True, exist_ok=True)
         path = anchor / "run-config.json"
     path.write_text(json.dumps(resolved, indent=2, sort_keys=True))
 
@@ -63,11 +63,6 @@ def _load_video_dir(directory, entry=None) -> tensorio.VideoSequence:
 # ---------------------------------------------------------------------------
 
 
-def _ssim_params(feature_cfg: dict) -> SsimParams:
-    keys = ("alpha", "beta", "gamma_exp", "k1", "k2", "k3", "window_radius", "window_sigma")
-    return SsimParams(**{k: feature_cfg[k] for k in keys if k in feature_cfg})
-
-
 def _motion_feature(rgb_video: tensorio.VideoSequence) -> np.ndarray:
     return rankpool.dynamic_image(rgb_video).raw.ravel()
 
@@ -78,7 +73,6 @@ def _std_feature(depth_video: tensorio.VideoSequence, feature_cfg: dict) -> np.n
         k=int(feature_cfg.get("k", 10)),
         side=int(feature_cfg.get("roi_side", 227)),
         on_silhouette=bool(feature_cfg.get("on_silhouette", True)),
-        params=_ssim_params(feature_cfg),
     ).frames
     vectors = frames.reshape(frames.shape[0], -1)
     return learn.pool_features(vectors, strategy=feature_cfg.get("pool", "mean"))
@@ -120,11 +114,8 @@ def _recorded_test_side(entries: list[dict], sidecar: dict) -> list[dict]:
     record = sidecar.get("protocol")
     if not record:
         raise ValueError("model.json records no protocol: pass --views or --subjects")
-    key = "views" if record["kind"] == "cross_view" else "subjects"
-    sides = {f"{side}_{key}": frozenset(record[side]) for side in ("train", "test")}
-    protocol = fusion_eval.SplitProtocol(kind=record["kind"], **sides)
-    test_side = protocol.sides()[1]
-    return [e for e in entries if protocol.key_of(e) in test_side]
+    protocol = fusion_eval.SplitProtocol(record["kind"], record["train"], record["test"])
+    return [e for e in entries if protocol.key_of(e) in protocol.test]
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +147,29 @@ def _read_scores_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     return ids, labels, scores
 
 
+def _read_score_tables(paths) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
+    """Score files that list the same sequences with the same labels in the
+    same order: (ids, labels, one score matrix per file)."""
+    tables = [_read_scores_csv(p) for p in paths]
+    ids, labels, _ = tables[0]
+    for path, (other_ids, other_labels, _) in zip(paths[1:], tables[1:]):
+        if other_ids != ids or not np.array_equal(other_labels, labels):
+            raise ValueError(
+                f"score file {path} disagrees with {paths[0]} on sequence ids or labels"
+            )
+    return ids, labels, [scores for _, _, scores in tables]
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
+# Each subcommand returns the path its outputs are anchored on; ``main``
+# writes the run-config record there once the command has succeeded.
+
+
+def cmd_synth(args) -> Path:
     cfg = synthgen.SynthConfig(
         num_classes=args.num_classes,
         subjects=args.subjects,
@@ -172,24 +180,17 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     outdir = Path(args.out)
-    _write_run_config(args, outdir)
     pairs = synthgen.generate(cfg)
     synthgen.write_corpus(pairs, outdir, cfg)
     print(f"wrote {len(pairs)} sequence pairs to {outdir}")
-    return 0
+    return outdir
 
 
-def cmd_keyframes(args) -> int:
+def cmd_keyframes(args) -> Path:
     out = Path(args.out)
-    _write_run_config(args, out.with_suffix(".rpt1"))
     video = _load_video_dir(args.video)
     stack = keyframe.keyframe_stack(
-        video,
-        k=args.k,
-        side=args.roi_side,
-        on_silhouette=not args.on_raw,
-        params=_ssim_params(vars(args)),
-        keyframe_of_pair=args.pick,
+        video, k=args.k, side=args.roi_side, on_silhouette=not args.on_raw
     )
     with open(out.with_suffix(".csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -211,12 +212,11 @@ def cmd_keyframes(args) -> int:
         f"selected frames {list(stack.frame_indices)} "
         f"({len(stack.dropped_indices)} dropped) -> {out.with_suffix('.rpt1')}"
     )
-    return 0
+    return out.with_suffix(".rpt1")
 
 
-def cmd_encode_di(args) -> int:
+def cmd_encode_di(args) -> Path:
     out = Path(args.out)
-    _write_run_config(args, out.with_suffix(".rpt1"))
     video = _load_video_dir(args.video)
     di = rankpool.dynamic_image(video)
     tensorio.write_tensor(
@@ -231,12 +231,11 @@ def cmd_encode_di(args) -> int:
     fmt = "ppm" if di.frame.shape[0] == 3 else "pgm"
     tensorio.write_frame(di.frame, out.with_suffix("." + fmt), fmt)
     print(f"dynamic image -> {out.with_suffix('.rpt1')}")
-    return 0
+    return out.with_suffix(".rpt1")
 
 
-def cmd_rankpool_exact(args) -> int:
+def cmd_rankpool_exact(args) -> Path:
     out = Path(args.out)
-    _write_run_config(args, out)
     seq = tensorio.read_feature_sequence(args.features)
     result = rankpool.exact_rank_pool(
         seq, lam=args.lam, step=args.step, max_iter=args.max_iter, tol=args.tol
@@ -250,12 +249,11 @@ def cmd_rankpool_exact(args) -> int:
     }
     out.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     print(f"rank vector ({result.iterations} iterations) -> {out}")
-    return 0
+    return out
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> Path:
     model_dir = Path(args.model_out)
-    _write_run_config(args, model_dir)
     manifest = synthgen.load_manifest(args.manifest)
     root = Path(args.manifest).parent / manifest.get("root", ".")
     protocol = _protocol_from_args(args)
@@ -290,8 +288,8 @@ def cmd_train(args) -> int:
             "feature": feature_cfg,
             "protocol": {
                 "kind": protocol.kind,
-                "train": sorted(protocol.sides()[0]),
-                "test": sorted(protocol.sides()[1]),
+                "train": sorted(protocol.train),
+                "test": sorted(protocol.test),
             },
             "best_epoch": log.best_epoch,
             "best_val_accuracy": log.best_val_accuracy,
@@ -301,12 +299,11 @@ def cmd_train(args) -> int:
         f"trained {args.stream} stream on {len(samples)} sequences; "
         f"best epoch {log.best_epoch} (val acc {log.best_val_accuracy:.3f}) -> {model_dir}"
     )
-    return 0
+    return model_dir
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> Path:
     out = Path(args.out)
-    _write_run_config(args, out)
     model, sidecar = learn.load_model(args.model)
     manifest = synthgen.load_manifest(args.manifest)
     root = Path(args.manifest).parent / manifest.get("root", ".")
@@ -329,45 +326,31 @@ def cmd_predict(args) -> int:
     scores = learn.predict(model, np.stack(features))
     _write_scores_csv(out, ids, labels, scores)
     print(f"scored {len(ids)} sequences -> {out}")
-    return 0
+    return out
 
 
-def cmd_fuse(args) -> int:
+def cmd_fuse(args) -> Path:
     out = Path(args.out)
-    _write_run_config(args, out)
     mode = fusion_eval.FusionMode.parse(args.mode)
-    tables = [_read_scores_csv(p) for p in args.scores]
-    ids, labels, _ = tables[0]
-    for other_ids, other_labels, _ in tables[1:]:
-        if other_ids != ids or not np.array_equal(other_labels, labels):
-            raise ValueError("score files disagree on sequence ids or labels")
-    fused = fusion_eval.fuse([scores for _, _, scores in tables], mode)
-    _write_scores_csv(out, ids, labels, fused)
-    print(f"fused {len(tables)} streams ({mode.value}) -> {out}")
-    return 0
+    ids, labels, scores = _read_score_tables(args.scores)
+    _write_scores_csv(out, ids, labels, fusion_eval.fuse(scores, mode))
+    print(f"fused {len(scores)} streams ({mode.value}) -> {out}")
+    return out
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> Path:
     report_out = Path(args.report_out)
-    _write_run_config(args, report_out)
     named = []
     for item in args.scores:
         if "=" not in item:
             raise ValueError(f"--scores expects NAME=PATH, got {item!r}")
-        name, path = item.split("=", 1)
-        named.append((name, path))
-    tables = {name: _read_scores_csv(path) for name, path in named}
-    first_ids, first_labels, _ = next(iter(tables.values()))
-    for name, (ids, labels, _) in tables.items():
-        if ids != first_ids or not np.array_equal(labels, first_labels):
-            raise ValueError(f"stream {name!r} disagrees on sequence ids or labels")
+        named.append(item.split("=", 1))
+    ids, labels, scores = _read_score_tables([path for _, path in named])
     modes = [fusion_eval.FusionMode.parse(m) for m in args.modes.split(",") if m]
     report = fusion_eval.evaluate(
-        {name: scores for name, (_, _, scores) in tables.items()},
-        first_labels,
-        modes=modes,
+        {name: s for (name, _), s in zip(named, scores)}, labels, modes=modes
     )
-    report_out.write_text(fusion_eval.report_to_json(report, num_samples=len(first_ids)))
+    report_out.write_text(fusion_eval.report_to_json(report, num_samples=len(ids)))
     if args.curves_out:
         curves_dir = Path(args.curves_out)
         curves_dir.mkdir(parents=True, exist_ok=True)
@@ -378,7 +361,7 @@ def cmd_eval(args) -> int:
     summary = {name: rep.accuracy for name, rep in report["streams"].items()}
     summary.update({mode: rep.accuracy for mode, rep in report["fusion"].items()})
     print("accuracy: " + ", ".join(f"{k}={v:.4f}" for k, v in summary.items()))
-    return 0
+    return report_out
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10, help="number of key frames")
     p.add_argument("--roi-side", type=int, default=227, help="square ROI side")
     p.add_argument("--on-raw", action="store_true", help="rank raw depth ROIs, not silhouettes")
-    p.add_argument("--pick", choices=["first", "second"], default="first",
-                   help="which frame of each pair becomes the key frame")
-    p.add_argument("--alpha", type=float, default=0.5, help="luminance exponent")
-    p.add_argument("--beta", type=float, default=0.5, help="contrast exponent")
-    p.add_argument("--gamma-exp", type=float, default=1.0, help="structure exponent")
-    p.add_argument("--k1", type=float, default=1e-4, help="luminance stabilizer")
-    p.add_argument("--k2", type=float, default=9e-4, help="contrast stabilizer")
-    p.add_argument("--k3", type=float, default=4.5e-4, help="structure stabilizer")
-    p.add_argument("--window-radius", type=int, default=5, help="Gaussian window radius")
-    p.add_argument("--window-sigma", type=float, default=1.5, help="Gaussian window sigma")
     p.add_argument("--out", required=True, help="output prefix (.csv and .rpt1 are written)")
     p.set_defaults(func=cmd_keyframes)
 
@@ -490,7 +463,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        _write_run_config(args, args.func(args))
+        return 0
     except ValueError as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1

@@ -38,49 +38,36 @@ class SplitProtocol:
     """Declarative train/test partition over sequence metadata.
 
     ``cross_view`` partitions by view id, ``cross_subject`` by subject
-    id; the two sides must be disjoint and non-empty.
+    id; ``train`` and ``test`` hold the ids of each side (stored as
+    frozensets), which must be disjoint and non-empty.
     """
 
     kind: str
-    train_views: frozenset[int] = frozenset()
-    test_views: frozenset[int] = frozenset()
-    train_subjects: frozenset[int] = frozenset()
-    test_subjects: frozenset[int] = frozenset()
+    train: frozenset[int]
+    test: frozenset[int]
 
     def __post_init__(self):
+        for side in ("train", "test"):
+            object.__setattr__(self, side, frozenset(int(i) for i in getattr(self, side)))
         if self.kind not in ("cross_view", "cross_subject"):
             raise ValueError(f"unknown protocol kind {self.kind!r}")
-        train, test = self.sides()
-        if not train or not test:
+        if not self.train or not self.test:
             raise ValueError("both protocol sides must be non-empty")
-        if train & test:
-            raise ValueError(f"train and test sets overlap: {sorted(train & test)}")
-
-    def sides(self) -> tuple[frozenset[int], frozenset[int]]:
-        if self.kind == "cross_view":
-            return frozenset(self.train_views), frozenset(self.test_views)
-        return frozenset(self.train_subjects), frozenset(self.test_subjects)
+        if self.train & self.test:
+            raise ValueError(f"train and test sets overlap: {sorted(self.train & self.test)}")
 
     def key_of(self, entry: Mapping) -> int:
         return int(entry["view_id" if self.kind == "cross_view" else "subject_id"])
 
     @classmethod
     def cross_view(cls, train_views: Iterable[int], test_views: Iterable[int]) -> "SplitProtocol":
-        return cls(
-            kind="cross_view",
-            train_views=frozenset(int(v) for v in train_views),
-            test_views=frozenset(int(v) for v in test_views),
-        )
+        return cls("cross_view", train_views, test_views)
 
     @classmethod
     def cross_subject(
         cls, train_subjects: Iterable[int], test_subjects: Iterable[int]
     ) -> "SplitProtocol":
-        return cls(
-            kind="cross_subject",
-            train_subjects=frozenset(int(s) for s in train_subjects),
-            test_subjects=frozenset(int(s) for s in test_subjects),
-        )
+        return cls("cross_subject", train_subjects, test_subjects)
 
 
 @dataclass(frozen=True)
@@ -152,14 +139,13 @@ def make_splits(
     Entries whose key falls in neither side are excluded (e.g. unused
     views of a four-view corpus).
     """
-    train_side, test_side = protocol.sides()
     train: list[str] = []
     test: list[str] = []
     for entry in entries:
         key = protocol.key_of(entry)
-        if key in train_side:
+        if key in protocol.train:
             train.append(str(entry["id"]))
-        elif key in test_side:
+        elif key in protocol.test:
             test.append(str(entry["id"]))
     if not train or not test:
         raise ValueError("protocol produced an empty train or test side")

@@ -3,24 +3,26 @@
 The similarity index multiplies a luminance, a contrast and a structure
 term computed from Gaussian-weighted local moments:
 
-    L = (2*m1*m2 + k1) / (m1^2 + m2^2 + k1)
-    C = (2*s1*s2 + k2) / (s1^2 + s2^2 + k2)
-    S = (cov + k3)  / (s1*s2 + k3)
-    local = L^alpha * C^beta * S^gamma_exp
+    L = (2*m1*m2 + K1) / (m1^2 + m2^2 + K1)
+    C = (2*s1*s2 + K2) / (s1^2 + s2^2 + K2)
+    S = (cov + K3)  / (s1*s2 + K3)
+    local = L^ALPHA * C^BETA * S^GAMMA_EXP
 
 The global index is the mean of the local map.  Depth silhouettes are
-insensitive to luminance/contrast, so the default exponents damp L and C
-(alpha = beta = 0.5) and keep the structure term linear (gamma_exp = 1).
+insensitive to luminance/contrast, so the exponents damp L and C
+(ALPHA = BETA = 0.5) and keep the structure term linear (GAMMA_EXP = 1).
+The stabilizers follow the reference convention for unit dynamic range
+(K1 = 0.01^2, K2 = 0.03^2, K3 = K2/2) with an 11x11 Gaussian window
+(radius 5, sigma 1.5).
 
-The key-frame pipeline works on whole videos through the private
-routines here: ``_silhouettes`` opens and closes the (n, H, W) foreground
-masks with shifted boolean slices, ``_largest_components`` labels every
-frame in one ``ndimage.label`` call, ``_roi_resize`` lerps each source
-row along x once before lerping along y, and ``_consecutive_ssim``
-computes each frame's local mean and E[x^2] once, so a pair of n - 1
-adds only its cross moment (6 separable passes per pair instead of 10).
-The public functions take one (C, H, W) array or (H, W) plane, check it,
-and call the same routines for that one frame.
+Every function works on whole videos: ``silhouette`` opens and closes
+(..., H, W) foreground masks with shifted boolean slices,
+``largest_component`` labels every frame of an (n, H, W) stack in one
+``ndimage.label`` call, ``roi_resize`` lerps each source row along x
+once before lerping along y, and ``consecutive_ssim`` computes each
+frame's local mean and E[x^2] once, so a pair of n - 1 adds only its
+cross moment (6 separable passes per pair instead of 10).  A single
+frame is a stack of one.
 """
 
 from __future__ import annotations
@@ -30,34 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-
-@dataclass(frozen=True)
-class SsimParams:
-    """Exponents, stabilizers and window geometry of the similarity index.
-
-    Stabilizers follow the reference convention for unit dynamic range:
-    k1 = 0.01^2, k2 = 0.03^2, k3 = k2/2, with an 11x11 Gaussian window
-    (radius 5, sigma 1.5).
-    """
-
-    alpha: float = 0.5
-    beta: float = 0.5
-    gamma_exp: float = 1.0
-    k1: float = 1e-4
-    k2: float = 9e-4
-    k3: float = 4.5e-4
-    window_radius: int = 5
-    window_sigma: float = 1.5
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.gamma_exp < 0:
-            raise ValueError("exponents must be >= 0")
-        if self.k1 <= 0 or self.k2 <= 0 or self.k3 <= 0:
-            raise ValueError("stabilization constants must be > 0")
-        if self.window_radius < 1:
-            raise ValueError("window_radius must be >= 1")
-        if self.window_sigma <= 0:
-            raise ValueError("window_sigma must be > 0")
+ALPHA = 0.5
+BETA = 0.5
+GAMMA_EXP = 1.0
+K1 = 1e-4
+K2 = 9e-4
+K3 = 4.5e-4
+WINDOW_RADIUS = 5
+WINDOW_SIGMA = 1.5
 
 
 @dataclass(frozen=True)
@@ -68,137 +50,30 @@ class SsimResult:
     local_map: np.ndarray
 
 
-@dataclass(frozen=True)
-class StructuringElement:
-    """Square boolean neighborhood mask with odd side length 3, 5 or 7."""
-
-    mask: np.ndarray
-
-    def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool)
-        if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
-            raise ValueError("structuring element must be square")
-        if mask.shape[0] not in (3, 5, 7):
-            raise ValueError("structuring element side must be 3, 5 or 7")
-        if not mask.any():
-            raise ValueError("structuring element needs at least one true cell")
-        mask = mask.copy()
-        mask.flags.writeable = False
-        object.__setattr__(self, "mask", mask)
-
-    @classmethod
-    def full(cls, side: int = 3) -> "StructuringElement":
-        return cls(np.ones((side, side), dtype=bool))
-
-
-_SQUARE3 = StructuringElement.full(3).mask
+_SQUARE3 = np.ones((3, 3), dtype=bool)
 # 8-connectivity inside each (H, W) frame of an (n, H, W) stack, no link through time
 _IN_FRAME_8 = np.zeros((3, 3, 3), dtype=bool)
 _IN_FRAME_8[1] = True
-
-
-def _single_channel(data: np.ndarray) -> np.ndarray:
-    """(..., 1, H, W) -> (..., H, W); any other channel count is an error."""
-    if data.shape[-3] != 1:
-        raise ValueError(f"expected single-channel input, got {data.shape[-3]} channels")
-    return data[..., 0, :, :]
 
 
 def _as_plane(f) -> np.ndarray:
     """Accept a (1, H, W) or (H, W) array; return the (H, W) plane."""
     arr = np.asarray(f, dtype=np.float64)
     if arr.ndim == 3:
-        arr = _single_channel(arr)
+        if arr.shape[0] != 1:
+            raise ValueError(f"expected single-channel input, got {arr.shape[0]} channels")
+        arr = arr[0]
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={arr.ndim}")
     return arr
 
 
-# ---------------------------------------------------------------------------
-# Structural similarity
-# ---------------------------------------------------------------------------
-
-
-def _gaussian_window(radius: int, sigma: float) -> np.ndarray:
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    w = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    return w / w.sum()
-
-
-def _local_mean(img: np.ndarray, window: np.ndarray) -> np.ndarray:
-    # Separable correlation, reflect boundary: constant images stay
-    # constant at the border, which the identity/constant-image oracles
-    # rely on.
-    tmp = ndimage.correlate1d(img, window, axis=0, mode="reflect")
-    return ndimage.correlate1d(tmp, window, axis=1, mode="reflect")
-
-
-def _check_window(shape: tuple[int, ...], p: SsimParams) -> None:
-    side = 2 * p.window_radius + 1
-    if shape[0] < side or shape[1] < side:
-        raise ValueError(f"window {side}x{side} larger than image {shape[0]}x{shape[1]}")
-
-
-def _moments(img: np.ndarray, window: np.ndarray) -> tuple:
-    """One image's share of the index: (image, mean, mean^2, variance, std)."""
-    mu = _local_mean(img, window)
-    mu_sq = mu * mu
-    var = np.maximum(_local_mean(img * img, window) - mu_sq, 0.0)
-    return img, mu, mu_sq, var, np.sqrt(var)
-
-
-def _ssim_map(m1: tuple, m2: tuple, window: np.ndarray, p: SsimParams) -> np.ndarray:
-    """Local similarity map of two images from their ``_moments``; only the
-    cross moment is computed here."""
-    a, mu1, mu1_sq, var1, sig1 = m1
-    b, mu2, mu2_sq, var2, sig2 = m2
-    cov = _local_mean(a * b, window) - mu1 * mu2
-    lum = (2.0 * mu1 * mu2 + p.k1) / (mu1_sq + mu2_sq + p.k1)
-    con = (2.0 * sig1 * sig2 + p.k2) / (var1 + var2 + p.k2)
-    struct = (cov + p.k3) / (sig1 * sig2 + p.k3)
-    return lum**p.alpha * con**p.beta * struct**p.gamma_exp
-
-
-def ssim(f1, f2, params: SsimParams | None = None) -> SsimResult:
-    """Similarity index of two single-channel images of identical shape.
-
-    Both images must be at least as large as the Gaussian window.  The
-    local map has the input shape; the global index is its mean.
-    """
-    p = params or SsimParams()
-    a = _as_plane(f1)
-    b = _as_plane(f2)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    _check_window(a.shape, p)
-    w = _gaussian_window(p.window_radius, p.window_sigma)
-    local = _ssim_map(_moments(a, w), _moments(b, w), w, p)
-    return SsimResult(global_index=float(local.mean()), local_map=local)
-
-
-def _consecutive_ssim(frames: np.ndarray, params: SsimParams | None = None) -> list[float]:
-    """Global index of each consecutive pair of an (n, H, W) stack: n - 1
-    values, pair i joining frames i and i + 1.  Each frame's moments are
-    computed once and shared by the two pairs it belongs to."""
-    p = params or SsimParams()
-    _check_window(frames.shape[1:], p)
-    w = _gaussian_window(p.window_radius, p.window_sigma)
-    values = []
-    prev = _moments(frames[0], w)
-    for frame in frames[1:]:
-        cur = _moments(frame, w)
-        values.append(float(_ssim_map(prev, cur, w, p).mean()))
-        prev = cur
-    return values
-
-
-# ---------------------------------------------------------------------------
-# Binary morphology (zero-padded borders)
-# ---------------------------------------------------------------------------
-
-
-def _as_binary(mask) -> np.ndarray:
-    arr = _as_plane(mask)
+def _as_binary(mask, ndim: int) -> np.ndarray:
+    """A 0/1 mask of ``ndim`` dimensions as a boolean array; a boolean
+    array is returned as it is, without a scan of its values."""
+    arr = np.asarray(mask)
+    if arr.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D mask, got ndim={arr.ndim}")
     if arr.dtype == bool:
         return arr
     if not np.all((arr == 0) | (arr == 1)):
@@ -206,16 +81,96 @@ def _as_binary(mask) -> np.ndarray:
     return arr.astype(bool)
 
 
-def _se_mask(se) -> np.ndarray:
-    if se is None:
-        return _SQUARE3
-    if isinstance(se, StructuringElement):
-        return se.mask
-    return StructuringElement(np.asarray(se)).mask
+# ---------------------------------------------------------------------------
+# Structural similarity
+# ---------------------------------------------------------------------------
+
+
+def _gaussian_window() -> np.ndarray:
+    x = np.arange(-WINDOW_RADIUS, WINDOW_RADIUS + 1, dtype=np.float64)
+    w = np.exp(-(x * x) / (2.0 * WINDOW_SIGMA * WINDOW_SIGMA))
+    w /= w.sum()
+    w.flags.writeable = False
+    return w
+
+
+_WINDOW = _gaussian_window()
+
+
+def _local_mean(img: np.ndarray) -> np.ndarray:
+    # Separable correlation, reflect boundary: constant images stay
+    # constant at the border, which the identity/constant-image oracles
+    # rely on.
+    tmp = ndimage.correlate1d(img, _WINDOW, axis=0, mode="reflect")
+    return ndimage.correlate1d(tmp, _WINDOW, axis=1, mode="reflect")
+
+
+def _check_window(shape: tuple[int, ...]) -> None:
+    side = 2 * WINDOW_RADIUS + 1
+    if shape[0] < side or shape[1] < side:
+        raise ValueError(f"window {side}x{side} larger than image {shape[0]}x{shape[1]}")
+
+
+def _moments(img: np.ndarray) -> tuple:
+    """One image's share of the index: (image, mean, mean^2, variance, std)."""
+    mu = _local_mean(img)
+    mu_sq = mu * mu
+    var = np.maximum(_local_mean(img * img) - mu_sq, 0.0)
+    return img, mu, mu_sq, var, np.sqrt(var)
+
+
+def _ssim_map(m1: tuple, m2: tuple) -> np.ndarray:
+    """Local similarity map of two images from their ``_moments``; only the
+    cross moment is computed here."""
+    a, mu1, mu1_sq, var1, sig1 = m1
+    b, mu2, mu2_sq, var2, sig2 = m2
+    cov = _local_mean(a * b) - mu1 * mu2
+    lum = (2.0 * mu1 * mu2 + K1) / (mu1_sq + mu2_sq + K1)
+    con = (2.0 * sig1 * sig2 + K2) / (var1 + var2 + K2)
+    struct = (cov + K3) / (sig1 * sig2 + K3)
+    return lum**ALPHA * con**BETA * struct**GAMMA_EXP
+
+
+def ssim(f1, f2) -> SsimResult:
+    """Similarity index of two single-channel images of identical shape.
+
+    Both images must be at least as large as the Gaussian window.  The
+    local map has the input shape; the global index is its mean.
+    """
+    a = _as_plane(f1)
+    b = _as_plane(f2)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    _check_window(a.shape)
+    local = _ssim_map(_moments(a), _moments(b))
+    return SsimResult(global_index=float(local.mean()), local_map=local)
+
+
+def consecutive_ssim(frames) -> list[float]:
+    """Global index of each consecutive pair of an (n, H, W) stack: n - 1
+    values, pair i joining frames i and i + 1.  Each frame's moments are
+    computed once and shared by the two pairs it belongs to."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 3:
+        raise ValueError(f"expected an (n, H, W) stack, got ndim={frames.ndim}")
+    _check_window(frames.shape[1:])
+    values = []
+    prev = _moments(frames[0])
+    for frame in frames[1:]:
+        cur = _moments(frame)
+        values.append(float(_ssim_map(prev, cur).mean()))
+        prev = cur
+    return values
+
+
+# ---------------------------------------------------------------------------
+# Binary morphology (zero-padded borders), silhouettes and components
+# ---------------------------------------------------------------------------
 
 
 def _morph(masks: np.ndarray, se: np.ndarray, erode: bool) -> np.ndarray:
-    """Erode (AND) or dilate (OR) boolean (..., H, W) masks by ``se``.
+    """Erode (AND) or dilate (OR) boolean (..., H, W) masks by the square
+    boolean element ``se`` (odd side, at least one true cell).
 
     Each true cell of the element contributes one shifted view of the
     zero-padded masks, so pixels outside the image count as background;
@@ -239,41 +194,18 @@ def _morph(masks: np.ndarray, se: np.ndarray, erode: bool) -> np.ndarray:
     return out
 
 
-def erode(mask, se=None) -> np.ndarray:
-    """Binary erosion; pixels outside the image count as background."""
-    return _morph(_as_binary(mask), _se_mask(se), erode=True)
-
-
-def dilate(mask, se=None) -> np.ndarray:
-    """Binary dilation; pixels outside the image count as background."""
-    return _morph(_as_binary(mask), _se_mask(se), erode=False)
-
-
-def opening(mask, se=None) -> np.ndarray:
-    """Erosion followed by dilation: removes specks smaller than the element."""
-    return dilate(erode(mask, se), se)
-
-
-def closing(mask, se=None) -> np.ndarray:
-    """Dilation followed by erosion: fills holes smaller than the element."""
-    return erode(dilate(mask, se), se)
-
-
-def _silhouettes(depth: np.ndarray) -> np.ndarray:
+def silhouette(depth) -> np.ndarray:
     """Foreground masks of (..., H, W) depth planes: nonzero depth, then
-    open + close with the 3x3 square."""
+    open + close with the 3x3 square (pixels outside count as background)."""
+    depth = np.asarray(depth)
+    if depth.ndim < 2:
+        raise ValueError(f"expected (..., H, W) planes, got ndim={depth.ndim}")
     m = _morph(_morph(depth > 0.0, _SQUARE3, True), _SQUARE3, False)
     return _morph(_morph(m, _SQUARE3, False), _SQUARE3, True)
 
 
-def silhouette(depth) -> np.ndarray:
-    """Foreground mask of a single-channel depth frame or plane: nonzero
-    depth, then open + close (3x3)."""
-    return _silhouettes(_as_plane(depth))
-
-
-def _largest_components(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest 8-connected component of each frame of (n, H, W) masks.
+def largest_component(masks) -> tuple[np.ndarray, np.ndarray]:
+    """Largest 8-connected component of each frame of (n, H, W) binary masks.
 
     Returns the component masks and which frames had any foreground (an
     empty frame's mask stays empty).  One labelling covers the stack:
@@ -281,7 +213,7 @@ def _largest_components(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     contiguous range and the first maximal count in it is the component
     whose first pixel comes earliest in row-major order.
     """
-    labels, _ = ndimage.label(masks, structure=_IN_FRAME_8)
+    labels, _ = ndimage.label(_as_binary(masks, 3), structure=_IN_FRAME_8)
     counts = np.bincount(labels.ravel())
     last = np.maximum.accumulate(labels.reshape(len(labels), -1).max(axis=1))
     first = np.concatenate(([0], last[:-1]))
@@ -290,19 +222,6 @@ def _largest_components(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if hi > lo:
             keep[i] = lo + 1 + int(np.argmax(counts[lo + 1 : hi + 1]))
     return labels == keep[:, None, None], keep > 0
-
-
-def largest_component(mask) -> np.ndarray:
-    """Keep only the largest 8-connected component of a binary mask.
-
-    Ties are broken toward the component whose first pixel comes
-    earliest in row-major order (labels are assigned in scan order, and
-    the first maximal count wins).
-    """
-    m = _as_binary(mask)
-    if not m.any():
-        raise ValueError("empty mask has no components")
-    return _largest_components(m[None])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +257,26 @@ def _bilinear_resize(img: np.ndarray, side: int) -> np.ndarray:
     return top + fy[:, None] * (rows[..., y1, :] - top)
 
 
-def _roi_resize(source: np.ndarray, mask: np.ndarray, side: int) -> np.ndarray:
+def roi_resize(source, mask, side: int) -> np.ndarray:
     """Crop (..., H, W) planes to the bounding box of a nonempty (H, W)
-    mask, zero-pad to square (the odd leftover pixel goes to the
-    bottom/right) and resize to side x side."""
+    binary mask, zero-pad to square and resize to side x side; returns
+    float64 (..., side, side) planes.
+
+    The shorter axis is padded symmetrically (the odd leftover pixel goes
+    to the bottom/right); resizing is corner-aligned bilinear.
+    """
+    if side < 1:
+        raise ValueError("side must be >= 1")
+    source = np.asarray(source)
+    if source.ndim < 2:
+        raise ValueError(f"expected (..., H, W) planes, got ndim={source.ndim}")
+    mask = _as_binary(mask, 2)
+    if mask.shape != source.shape[-2:]:
+        raise ValueError(f"mask shape {mask.shape} does not match planes {source.shape[-2:]}")
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
+    if not len(rows):
+        raise ValueError("empty mask: nothing to crop")
     r0, r1 = int(rows[0]), int(rows[-1]) + 1
     c0, c1 = int(cols[0]), int(cols[-1]) + 1
     ch, cw = r1 - r0, c1 - c0
@@ -352,23 +285,3 @@ def _roi_resize(source: np.ndarray, mask: np.ndarray, side: int) -> np.ndarray:
     square = np.zeros(source.shape[:-2] + (target, target))
     square[..., top : top + ch, left : left + cw] = source[..., r0:r1, c0:c1]
     return _bilinear_resize(square, side)
-
-
-def roi_resize(f, mask, side: int = 227) -> np.ndarray:
-    """Crop a (C, H, W) array to the mask's bounding box, zero-pad to
-    square, resize to side; returns a (C, side, side) array.
-
-    The shorter axis is padded symmetrically (the odd leftover pixel goes
-    to the bottom/right); resizing is corner-aligned bilinear.
-    """
-    if side < 1:
-        raise ValueError("side must be >= 1")
-    data = np.asarray(f, dtype=np.float64)
-    if data.ndim != 3:
-        raise ValueError(f"expected a (C, H, W) image, got ndim={data.ndim}")
-    m = _as_binary(mask)
-    if m.shape != data.shape[1:]:
-        raise ValueError(f"mask shape {m.shape} does not match frame {data.shape[1:]}")
-    if not m.any():
-        raise ValueError("empty mask: nothing to crop")
-    return _roi_resize(data, m, side)

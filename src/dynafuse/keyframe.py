@@ -4,15 +4,16 @@ Low similarity between neighboring frames marks a salient pose change,
 so pairs are sorted ascending by similarity and the leading frame of
 each pair is picked until k key frames are collected.
 
-A depth video is processed whole, as its (n, 1, H, W) array.  Silhouettes
-and largest components of all n frames come from a few boolean array
-passes and one labelling call; each kept frame is then cropped and
-resized on its own, because every frame has its own bounding box.  The
-n - 1 pair similarities take 4 separable filter passes per frame (local
-mean and E[x^2], shared by the frame's two pairs) plus 2 per pair (the
-cross moment), instead of 10 per pair.  Beyond the processed
-(n_kept, 1, side, side) video the temporaries are O(n * H * W) booleans
-and the moments of two frames at a time.
+A depth video is processed whole, as its (n, 1, H, W) array, through the
+public ``imgproc`` functions.  Silhouettes and largest components of all
+n frames come from a few boolean array passes and one labelling call;
+each kept frame is then cropped and resized on its own, because every
+frame has its own bounding box.  The n - 1 pair similarities take 4
+separable filter passes per frame (local mean and E[x^2], shared by the
+frame's two pairs) plus 2 per pair (the cross moment), instead of 10 per
+pair.  Beyond the processed (n_kept, 1, side, side) video the
+temporaries are O(n * H * W) booleans and the moments of two frames at a
+time.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import imgproc
-from .imgproc import SsimParams
 from .tensorio import VideoSequence
 
 
@@ -57,6 +57,13 @@ class KeyframeSelection:
         object.__setattr__(self, "frame_indices", idx)
 
 
+def _planes(video: VideoSequence) -> np.ndarray:
+    """The (n, H, W) planes of a single-channel video."""
+    if video.data.shape[1] != 1:
+        raise ValueError(f"expected single-channel input, got {video.data.shape[1]} channels")
+    return video.data[:, 0]
+
+
 def preprocess_video(
     video: VideoSequence, side: int = 227, on_silhouette: bool = True
 ) -> tuple[VideoSequence, list[int]]:
@@ -67,17 +74,13 @@ def preprocess_video(
     comes out empty are dropped; their 1-based indices are returned
     alongside the processed video.
     """
-    depth = imgproc._single_channel(video.data)
-    masks, found = imgproc._largest_components(imgproc._silhouettes(depth))
+    depth = _planes(video)
+    masks, found = imgproc.largest_component(imgproc.silhouette(depth))
     if not found.any():
         raise ValueError("all frames produced empty silhouettes")
-    if side < 1:
-        raise ValueError("side must be >= 1")
     sources = masks if on_silhouette else depth
     kept = np.flatnonzero(found)
-    data = np.empty((len(kept), 1, side, side))
-    for row, i in zip(data, kept):
-        row[0] = imgproc._roi_resize(sources[i], masks[i], side)
+    data = np.stack([imgproc.roi_resize(sources[i], masks[i], side) for i in kept])[:, None]
     data.flags.writeable = False
     processed = VideoSequence(
         data,
@@ -89,7 +92,7 @@ def preprocess_video(
     return processed, [int(i) + 1 for i in np.flatnonzero(~found)]
 
 
-def ssii_vector(video: VideoSequence, params: SsimParams | None = None) -> SsiiVector:
+def ssii_vector(video: VideoSequence) -> SsiiVector:
     """Similarity of every consecutive frame pair, sorted ascending.
 
     Frames must be single-channel and already preprocessed (silhouette /
@@ -98,29 +101,24 @@ def ssii_vector(video: VideoSequence, params: SsimParams | None = None) -> SsiiV
     n = len(video)
     if n < 2:
         raise ValueError(f"need at least 2 frames, got {n}")
-    values = imgproc._consecutive_ssim(imgproc._single_channel(video.data), params)
+    values = imgproc.consecutive_ssim(_planes(video))
     entries = sorted(enumerate(values, start=1), key=lambda e: (e[1], e[0]))
     return SsiiVector(entries=tuple(entries))
 
 
-def _pick(vec: SsiiVector, n: int, k: int, keyframe_of_pair: str) -> tuple[int, ...]:
+def _pick(vec: SsiiVector, n: int, k: int) -> tuple[int, ...]:
     """Walk the ascending similarity vector of an n-frame video for k key frames.
 
-    Emits the leading frame of each pair (``keyframe_of_pair='second'``
-    emits the trailing frame instead), deduplicates, and backfills from
+    Emits the leading frame of each pair, deduplicates, and backfills from
     the tail of the video when fewer than k distinct indices are
     available.  The result is sorted ascending to preserve temporal order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if keyframe_of_pair not in ("first", "second"):
-        raise ValueError("keyframe_of_pair must be 'first' or 'second'")
-    offset = 0 if keyframe_of_pair == "first" else 1
     want = min(k, n)
     chosen: list[int] = []
     seen: set[int] = set()
-    for pair_index, _ in vec.entries:
-        idx = pair_index + offset
+    for idx, _ in vec.entries:
         if idx not in seen:
             seen.add(idx)
             chosen.append(idx)
@@ -138,15 +136,10 @@ def _pick(vec: SsiiVector, n: int, k: int, keyframe_of_pair: str) -> tuple[int, 
     return tuple(sorted(chosen))
 
 
-def select_keyframes(
-    video: VideoSequence,
-    k: int = 10,
-    params: SsimParams | None = None,
-    keyframe_of_pair: str = "first",
-) -> KeyframeSelection:
+def select_keyframes(video: VideoSequence, k: int = 10) -> KeyframeSelection:
     """Pick the k frames of an already preprocessed video whose pairs have
     the lowest similarity (see ``_pick`` for the walk and the backfill)."""
-    indices = _pick(ssii_vector(video, params), len(video), k, keyframe_of_pair)
+    indices = _pick(ssii_vector(video), len(video), k)
     return KeyframeSelection(frame_indices=indices, k_requested=k)
 
 
@@ -172,8 +165,6 @@ def keyframe_stack(
     k: int = 10,
     side: int = 227,
     on_silhouette: bool = True,
-    params: SsimParams | None = None,
-    keyframe_of_pair: str = "first",
 ) -> KeyframeStack:
     """Preprocess a raw depth video, rank its kept frames and stack the key frames.
 
@@ -183,8 +174,8 @@ def keyframe_stack(
     """
     processed, dropped = preprocess_video(video, side=side, on_silhouette=on_silhouette)
     n = len(processed)
-    vec = ssii_vector(processed, params) if n >= 2 else SsiiVector(entries=())
-    picked = _pick(vec, n, k, keyframe_of_pair)
+    vec = ssii_vector(processed) if n >= 2 else SsiiVector(entries=())
+    picked = _pick(vec, n, k)
     skipped = set(dropped)
     kept_raw = [i for i in range(1, len(video) + 1) if i not in skipped]
     return KeyframeStack(

@@ -10,7 +10,7 @@ data order, seed and config.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -325,15 +325,7 @@ def save_model(
         "feature_scale": model.feature_scale.tolist(),
     }
     if cfg is not None:
-        sidecar["adam"] = {
-            "learning_rate": cfg.learning_rate,
-            "beta1": cfg.beta1,
-            "beta2": cfg.beta2,
-            "epsilon": cfg.epsilon,
-            "epochs": cfg.epochs,
-            "batch_size": cfg.batch_size,
-            "seed": cfg.seed,
-        }
+        sidecar["adam"] = asdict(cfg)
     if extra:
         sidecar.update(extra)
     (directory / "model.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))

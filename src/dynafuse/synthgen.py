@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -216,15 +216,7 @@ def corpus_manifest(pairs: list[SequencePair], cfg: SynthConfig, root: str | Non
         sequences.append(entry)
     manifest = {
         "root": root or ".",
-        "config": {
-            "num_classes": cfg.num_classes,
-            "subjects": cfg.subjects,
-            "views": cfg.views,
-            "frames_per_video": cfg.frames_per_video,
-            "frame_side": cfg.frame_side,
-            "noise_sigma": cfg.noise_sigma,
-            "seed": cfg.seed,
-        },
+        "config": asdict(cfg),
         "sequences": sequences,
     }
     return manifest

@@ -123,14 +123,14 @@ class TestKeyframesCommand:
         frames[2] = np.zeros((1, 24, 24))
         make_video_dir(tmp_path / "vid", frames)
         calls = []
-        consecutive_ssim = imgproc._consecutive_ssim
+        consecutive_ssim = imgproc.consecutive_ssim
 
-        def counted(stack, *args, **kwargs):
-            values = consecutive_ssim(stack, *args, **kwargs)
+        def counted(stack):
+            values = consecutive_ssim(stack)
             calls.append((len(stack), len(values)))
             return values
 
-        monkeypatch.setattr(imgproc, "_consecutive_ssim", counted)
+        monkeypatch.setattr(imgproc, "consecutive_ssim", counted)
         out = tmp_path / "kf"
         assert cli.main(["keyframes", "--video", str(tmp_path / "vid"),
                          "--k", "3", "--roi-side", "16", "--out", str(out)]) == 0
@@ -160,6 +160,7 @@ class TestKeyframesCommand:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": message}
         assert not out.with_suffix(".rpt1").exists() and not out.with_suffix(".csv").exists()
+        assert not list(tmp_path.rglob("*.config.json"))
 
     def test_config_sits_beside_outputs_for_dotted_out(self, tmp_path):
         make_video_dir(tmp_path / "vid", depth_frames())
@@ -215,6 +216,7 @@ class TestRankpoolExactCommand:
         assert err["error"] == "ValueError"
         assert f"{flags[0][2:].replace('-', '_')} must be" in err["message"]
         assert not out.exists()
+        assert not list(tmp_path.rglob("*.config.json"))
 
     def test_too_many_frames_exit_1(self, tmp_path, capsys):
         """A 16 KB file of 4097 one-number frames asks for (n, n) arrays past
@@ -231,6 +233,7 @@ class TestRankpoolExactCommand:
         assert payload["error"] == "ValueError"
         assert "n = 4097" in payload["message"] and "4096" in payload["message"]
         assert not out.exists()
+        assert not list(tmp_path.rglob("*.config.json"))
 
 
 class TestModuleEntryPoint:
@@ -398,10 +401,20 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert "message" in err
 
-    def test_unknown_flag_exit_1(self, capsys):
-        assert cli.main(["synth", "--out", "x", "--bogus-flag", "1"]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert "unrecognized" in err["message"]
+    def test_unknown_flag_exit_1(self, tmp_path, capsys):
+        """An unknown flag, including the similarity constants and the pair
+        pick, which keyframes does not take, is a JSON argument error."""
+        kf = ["keyframes", "--video", str(tmp_path / "v"), "--out", str(tmp_path / "kf")]
+        for argv in (
+            ["synth", "--out", str(tmp_path / "x"), "--bogus-flag", "1"],
+            kf + ["--alpha", "0.5"],
+            kf + ["--pick", "second"],
+        ):
+            assert cli.main(argv) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ValueError"
+            assert err["message"].startswith("argument error: unrecognized arguments")
+        assert not list(tmp_path.iterdir())
 
     def test_bad_mode_exit_1(self, tmp_path, capsys):
         (tmp_path / "s.csv").write_text("sequence_id,label,score_0,score_1\na,0,0.5,0.5\n")
@@ -409,6 +422,38 @@ class TestErrorHandling:
                          "--mode", "median", "--out", str(tmp_path / "o.csv")])
         assert code == 1
         assert "fusion mode" in json.loads(capsys.readouterr().err)["message"]
+
+    def write_mismatched_scores(self, tmp_path):
+        header = "sequence_id,label,score_0,score_1\n"
+        (tmp_path / "a.csv").write_text(header + "a,0,0.25,0.75\nb,1,0.6,0.4\n")
+        (tmp_path / "b.csv").write_text(header + "a,0,0.5,0.5\nb,0,0.5,0.5\n")
+        return tmp_path / "a.csv", tmp_path / "b.csv"
+
+    def test_fuse_names_the_disagreeing_file(self, tmp_path, capsys):
+        first, second = self.write_mismatched_scores(tmp_path)
+        out = tmp_path / "o.csv"
+        code = cli.main(["fuse", "--scores", str(first), "--scores", str(second),
+                         "--mode", "product", "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "ValueError",
+            "message": f"score file {second} disagrees with {first} on sequence ids or labels",
+        }
+        assert not out.exists() and not list(tmp_path.glob("*.config.json"))
+
+    def test_eval_names_the_disagreeing_file(self, tmp_path, capsys):
+        first, second = self.write_mismatched_scores(tmp_path)
+        report = tmp_path / "report.json"
+        code = cli.main(["eval", "--scores", f"motion={first}", "--scores", f"std={second}",
+                         "--report-out", str(report)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "ValueError",
+            "message": f"score file {second} disagrees with {first} on sequence ids or labels",
+        }
+        assert not report.exists() and not list(tmp_path.glob("*.config.json"))
 
     def test_fuse_single_stream_identity(self, tmp_path):
         (tmp_path / "s.csv").write_text(

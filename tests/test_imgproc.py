@@ -5,17 +5,38 @@ import numpy as np
 import pytest
 
 from dynafuse.imgproc import (
-    SsimParams,
-    StructuringElement,
-    closing,
-    dilate,
-    erode,
+    _as_binary,
+    _morph,
+    consecutive_ssim,
     largest_component,
-    opening,
     roi_resize,
     silhouette,
     ssim,
 )
+
+SQUARE3 = np.ones((3, 3), dtype=bool)
+
+
+def erode(mask, se=SQUARE3):
+    return _morph(mask, se, erode=True)
+
+
+def dilate(mask, se=SQUARE3):
+    return _morph(mask, se, erode=False)
+
+
+def opening(mask, se=SQUARE3):
+    return dilate(erode(mask, se), se)
+
+
+def closing(mask, se=SQUARE3):
+    return erode(dilate(mask, se), se)
+
+
+def component(mask):
+    """The largest component of one (H, W) mask, or None if it is empty."""
+    components, found = largest_component(mask[None])
+    return components[0] if found[0] else None
 
 
 def erode_oracle(mask: np.ndarray, se: np.ndarray) -> np.ndarray:
@@ -117,24 +138,28 @@ class TestSsim:
         with pytest.raises(ValueError, match="window"):
             ssim(a, a)
 
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            SsimParams(k1=0.0)
-        with pytest.raises(ValueError):
-            SsimParams(alpha=-0.5)
+    def test_consecutive_pairs_match_ssim(self):
+        rng = np.random.default_rng(11)
+        frames = rng.random((4, 13, 12))
+        values = consecutive_ssim(frames)
+        assert values == [ssim(a, b).global_index for a, b in zip(frames, frames[1:])]
+
+    def test_consecutive_needs_a_stack(self):
+        with pytest.raises(ValueError, match="ndim=2"):
+            consecutive_ssim(np.zeros((12, 12)))
 
 
 class TestMorphology:
     def test_erode_all_ones(self):
-        out = erode(np.ones((5, 5)), StructuringElement.full(3))
+        out = erode(np.ones((5, 5), dtype=bool))
         expected = np.zeros((5, 5), dtype=bool)
         expected[1:4, 1:4] = True
         np.testing.assert_array_equal(out, expected)
 
     def test_dilate_center_pixel(self):
-        mask = np.zeros((5, 5))
-        mask[2, 2] = 1
-        out = dilate(mask, StructuringElement.full(3))
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[2, 2] = True
+        out = dilate(mask)
         expected = np.zeros((5, 5), dtype=bool)
         expected[1:4, 1:4] = True
         np.testing.assert_array_equal(out, expected)
@@ -142,16 +167,16 @@ class TestMorphology:
     def test_against_set_definition_oracle(self):
         """Random sparse masks agree with the brute-force definitions."""
         rng = np.random.default_rng(7)
-        se = StructuringElement.full(3)
+        se = SQUARE3
         for _ in range(15):
             mask = rng.random((9, 9)) < 0.3
-            np.testing.assert_array_equal(erode(mask, se), erode_oracle(mask, se.mask))
-            np.testing.assert_array_equal(dilate(mask, se), dilate_oracle(mask, se.mask))
+            np.testing.assert_array_equal(erode(mask, se), erode_oracle(mask, se))
+            np.testing.assert_array_equal(dilate(mask, se), dilate_oracle(mask, se))
             np.testing.assert_array_equal(
-                opening(mask, se), dilate_oracle(erode_oracle(mask, se.mask), se.mask)
+                opening(mask, se), dilate_oracle(erode_oracle(mask, se), se)
             )
             np.testing.assert_array_equal(
-                closing(mask, se), erode_oracle(dilate_oracle(mask, se.mask), se.mask)
+                closing(mask, se), erode_oracle(dilate_oracle(mask, se), se)
             )
 
     def test_opening_removes_isolated_pixels(self):
@@ -175,7 +200,7 @@ class TestMorphology:
         """
         rng = np.random.default_rng(8)
         for side in (3, 5):
-            se = StructuringElement.full(side)
+            se = np.ones((side, side), dtype=bool)
             r = side // 2
             for _ in range(10):
                 mask = rng.random((10, 12)) < 0.4
@@ -185,19 +210,29 @@ class TestMorphology:
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError, match="0 or 1"):
-            erode(np.full((5, 5), 0.5))
+            largest_component(np.full((1, 5, 5), 0.5))
+        with pytest.raises(ValueError, match="0 or 1"):
+            roi_resize(np.ones((5, 5)), np.full((5, 5), 0.5), side=4)
 
-    def test_structuring_element_validation(self):
-        with pytest.raises(ValueError):
-            StructuringElement(np.ones((4, 4), dtype=bool))
-        with pytest.raises(ValueError):
-            StructuringElement(np.zeros((3, 3), dtype=bool))
+    def test_bool_mask_is_used_as_it_is(self):
+        """A boolean mask skips the 0/1 value scan and the cast: the checked
+        mask is the caller's array; a 0/1 float mask becomes a boolean one."""
+        mask = np.zeros((6, 6), dtype=bool)
+        mask[1:4, 2:5] = True
+        assert _as_binary(mask, 2) is mask
+        converted = _as_binary(mask.astype(float), 2)
+        assert converted.dtype == bool
+        np.testing.assert_array_equal(converted, mask)
 
 
 class TestSilhouette:
     def test_all_zero_frame(self):
         out = silhouette(np.zeros((8, 8)))
         assert not out.any()
+
+    def test_needs_planes(self):
+        with pytest.raises(ValueError, match="ndim=1"):
+            silhouette(np.ones(8))
 
     def test_speckles_removed_block_kept(self):
         depth = np.zeros((16, 16))
@@ -228,7 +263,7 @@ class TestLargestComponent:
         mask = np.zeros((8, 8), dtype=bool)
         mask[0:3, 0:3] = True  # 9 pixels
         mask[5:7, 5:7] = True  # 4 pixels
-        out = largest_component(mask)
+        out = component(mask)
         assert out[1, 1] and not out[5, 5]
         assert out.sum() == 9
 
@@ -236,23 +271,31 @@ class TestLargestComponent:
         mask = np.zeros((8, 8), dtype=bool)
         mask[5:7, 0:2] = True  # later in scan order
         mask[0:2, 5:7] = True  # earlier first pixel (row 0)
-        out = largest_component(mask)
+        out = component(mask)
         assert out[0, 5] and not out[5, 0]
 
     def test_single_pixel(self):
         mask = np.zeros((4, 4), dtype=bool)
         mask[2, 1] = True
-        np.testing.assert_array_equal(largest_component(mask), mask)
+        np.testing.assert_array_equal(component(mask), mask)
 
     def test_eight_connectivity(self):
         mask = np.zeros((4, 4), dtype=bool)
         mask[0, 0] = mask[1, 1] = mask[2, 2] = True  # one diagonal component
-        out = largest_component(mask)
+        out = component(mask)
         assert out.sum() == 3
 
     def test_empty_mask(self):
-        with pytest.raises(ValueError, match="empty"):
-            largest_component(np.zeros((4, 4), dtype=bool))
+        """An empty frame stays empty and is reported as not found."""
+        masks = np.zeros((3, 4, 4), dtype=bool)
+        masks[1, 2, 1] = True
+        components, found = largest_component(masks)
+        assert found.tolist() == [False, True, False]
+        np.testing.assert_array_equal(components, masks)
+
+    def test_needs_a_stack(self):
+        with pytest.raises(ValueError, match="3-D mask"):
+            largest_component(np.ones((4, 4), dtype=bool))
 
 
 class TestRoiResize:
@@ -303,3 +346,27 @@ class TestRoiResize:
         f = np.zeros((1, 4, 4))
         with pytest.raises(ValueError, match="empty"):
             roi_resize(f, np.zeros((4, 4), dtype=bool), side=4)
+
+    def test_planes_share_one_crop(self):
+        rng = np.random.default_rng(13)
+        planes = rng.random((2, 3, 7, 6))
+        mask = np.zeros((7, 6), dtype=bool)
+        mask[2:6, 1:3] = True
+        out = roi_resize(planes, mask, side=5)
+        assert out.shape == (2, 3, 5, 5)
+        for idx in np.ndindex(2, 3):
+            assert out[idx].tobytes() == roi_resize(planes[idx], mask, side=5).tobytes()
+
+    @pytest.mark.parametrize(
+        "source, mask, side, message",
+        [
+            (np.ones((4, 4)), np.ones((4, 4), dtype=bool), 0, "side must be >= 1"),
+            (np.ones(4), np.ones((4, 4), dtype=bool), 2, "ndim=1"),
+            (np.ones((4, 4)), np.ones((1, 4, 4), dtype=bool), 2, "2-D mask"),
+            (np.ones((4, 5)), np.ones((4, 4), dtype=bool), 2, "does not match"),
+        ],
+        ids=["side", "source_ndim", "mask_ndim", "mask_shape"],
+    )
+    def test_input_checks(self, source, mask, side, message):
+        with pytest.raises(ValueError, match=message):
+            roi_resize(source, mask, side)
