@@ -63,39 +63,32 @@ def _load_video_dir(directory, entry=None) -> tensorio.VideoSequence:
 # ---------------------------------------------------------------------------
 
 
-def _motion_feature(rgb_video: tensorio.VideoSequence) -> np.ndarray:
-    return rankpool.dynamic_image(rgb_video).raw.ravel()
-
-
-def _std_feature(depth_video: tensorio.VideoSequence, feature_cfg: dict) -> np.ndarray:
-    frames = keyframe.keyframe_stack(
-        depth_video,
-        k=int(feature_cfg.get("k", 10)),
-        side=int(feature_cfg.get("roi_side", 227)),
-        on_silhouette=bool(feature_cfg.get("on_silhouette", True)),
-    ).frames
-    vectors = frames.reshape(frames.shape[0], -1)
-    return learn.pool_features(vectors, strategy=feature_cfg.get("pool", "mean"))
-
-
-def _sequence_feature(root: Path, entry: dict, stream: str, feature_cfg: dict) -> np.ndarray:
-    if stream == "motion":
-        return _motion_feature(_load_video_dir(root / entry["rgb_dir"], entry))
-    if "std_features" in entry:
-        seq = tensorio.read_feature_sequence(root / entry["std_features"])
-        return learn.pool_features(seq.vectors, strategy=feature_cfg.get("pool", "mean"))
-    return _std_feature(_load_video_dir(root / entry["depth_dir"], entry), feature_cfg)
-
-
-def _check_feature_lengths(ids, features) -> None:
-    """Name the first sequence whose feature length differs from the first one's."""
-    want = len(features[0])
-    for seq_id, vec in zip(ids, features):
-        if len(vec) != want:
-            raise ValueError(
-                f"sequence {seq_id!r} has feature length {len(vec)}, "
-                f"but {ids[0]!r} has {want}"
-            )
+def _feature_matrix(root: Path, entries: list[dict], stream: str, feature_cfg: dict) -> np.ndarray:
+    """Each entry's pooled frame vectors (motion: its one dynamic image), one row
+    per entry in order.  A row never depends on the split, so splits share rows."""
+    pool = feature_cfg.get("pool", "mean")
+    key = "rgb_dir" if stream == "motion" else "depth_dir"
+    rows = []
+    for entry in entries:
+        if stream == "std" and "std_features" in entry:
+            frames = tensorio.read_feature_sequence(root / entry["std_features"]).vectors
+        elif key not in entry:
+            raise ValueError(f"sequence {entry['id']!r} has no {key!r} in the manifest")
+        elif stream == "motion":
+            frames = rankpool.dynamic_image(_load_video_dir(root / entry[key], entry)).raw[None]
+        else:
+            frames = keyframe.keyframe_stack(
+                _load_video_dir(root / entry[key], entry),
+                k=int(feature_cfg.get("k", 10)),
+                side=int(feature_cfg.get("roi_side", 227)),
+                on_silhouette=bool(feature_cfg.get("on_silhouette", True)),
+            ).frames
+        row = learn.pool_features(frames.reshape(len(frames), -1), strategy=pool)
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"sequence {entry['id']!r} has feature length {len(row)}, "
+                             f"but {entries[0]['id']!r} has {len(rows[0])}")
+        rows.append(row)
+    return np.stack(rows)
 
 
 def _protocol_from_args(args) -> fusion_eval.SplitProtocol:
@@ -135,16 +128,30 @@ def _write_scores_csv(path, ids, labels, scores: np.ndarray) -> None:
 
 def _read_scores_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows) < 2:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader]
+    if len(rows) < 2:
         raise ValueError(f"score file {path} has no data rows")
-    header = rows[0]
+    header = rows[0][1]
     if header[:2] != ["sequence_id", "label"]:
         raise ValueError(f"score file {path} has an unexpected header")
-    ids = [r[0] for r in rows[1:]]
-    labels = np.asarray([int(r[1]) for r in rows[1:]])
-    scores = np.asarray([[float(v) for v in r[2:]] for r in rows[1:]])
-    return ids, labels, scores
+    ids, labels, scores = [], [], []
+    for line, row in rows[1:]:
+        where = f"score file {path} line {line}"
+        if len(row) != len(header):
+            raise ValueError(f"{where} has {len(row)} fields, but its header has {len(header)}")
+        try:
+            labels.append(int(row[1]))
+        except ValueError:
+            raise ValueError(f"{where} has a non-integer label {row[1]!r}") from None
+        try:
+            scores.append([float(v) for v in row[2:]])
+        except ValueError:
+            raise ValueError(f"{where} has a non-numeric score") from None
+        if not np.all(np.isfinite(scores[-1])):
+            raise ValueError(f"{where} has a non-finite score")
+        ids.append(row[0])
+    return ids, np.asarray(labels), np.asarray(scores)
 
 
 def _read_score_tables(paths) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
@@ -259,15 +266,15 @@ def cmd_train(args) -> Path:
     protocol = _protocol_from_args(args)
     train_ids, _ = fusion_eval.make_splits(manifest["sequences"], protocol)
     by_id = {e["id"]: e for e in manifest["sequences"]}
+    entries = [by_id[i] for i in train_ids]
     feature_cfg = {
         "k": args.k,
         "roi_side": args.roi_side,
         "on_silhouette": not args.on_raw,
         "pool": args.pool,
     }
-    features = [_sequence_feature(root, by_id[i], args.stream, feature_cfg) for i in train_ids]
-    _check_feature_lengths(train_ids, features)
-    samples = [(f, by_id[i]["class_id"]) for f, i in zip(features, train_ids)]
+    features = _feature_matrix(root, entries, args.stream, feature_cfg)
+    samples = [(f, e["class_id"]) for f, e in zip(features, entries)]
     num_classes = int(manifest["config"]["num_classes"])
     cfg = learn.AdamConfig(
         learning_rate=args.learning_rate,
@@ -321,9 +328,7 @@ def cmd_predict(args) -> Path:
     feature_cfg = sidecar.get("feature", {})
     ids = [e["id"] for e in entries]
     labels = [e["class_id"] for e in entries]
-    features = [_sequence_feature(root, e, stream, feature_cfg) for e in entries]
-    _check_feature_lengths(ids, features)
-    scores = learn.predict(model, np.stack(features))
+    scores = learn.predict(model, _feature_matrix(root, entries, stream, feature_cfg))
     _write_scores_csv(out, ids, labels, scores)
     print(f"scored {len(ids)} sequences -> {out}")
     return out
@@ -340,16 +345,17 @@ def cmd_fuse(args) -> Path:
 
 def cmd_eval(args) -> Path:
     report_out = Path(args.report_out)
-    named = []
+    named = {}
     for item in args.scores:
         if "=" not in item:
             raise ValueError(f"--scores expects NAME=PATH, got {item!r}")
-        named.append(item.split("=", 1))
-    ids, labels, scores = _read_score_tables([path for _, path in named])
+        name, path = item.split("=", 1)
+        if name in named:
+            raise ValueError(f"--scores names stream {name!r} twice")
+        named[name] = path
+    ids, labels, scores = _read_score_tables(list(named.values()))
     modes = [fusion_eval.FusionMode.parse(m) for m in args.modes.split(",") if m]
-    report = fusion_eval.evaluate(
-        {name: s for (name, _), s in zip(named, scores)}, labels, modes=modes
-    )
+    report = fusion_eval.evaluate(dict(zip(named, scores)), labels, modes=modes)
     report_out.write_text(fusion_eval.report_to_json(report, num_samples=len(ids)))
     if args.curves_out:
         curves_dir = Path(args.curves_out)

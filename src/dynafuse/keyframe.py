@@ -87,7 +87,6 @@ def preprocess_video(
         class_id=video.class_id,
         subject_id=video.subject_id,
         view_id=video.view_id,
-        fps_hint=video.fps_hint,
     )
     return processed, [int(i) + 1 for i in np.flatnonzero(~found)]
 

@@ -241,10 +241,31 @@ def write_corpus(pairs: list[SequencePair], outdir, cfg: SynthConfig) -> dict:
 
 
 def load_manifest(path) -> dict:
-    manifest = json.loads(Path(path).read_text())
-    if "sequences" not in manifest:
-        raise ValueError("manifest has no 'sequences' list")
-    ids = [e["id"] for e in manifest["sequences"]]
+    """Read a manifest and check each entry once: a unique string ``id``,
+    ``class_id``, ``subject_id`` and ``view_id`` integers >= 0, and string
+    paths under ``rgb_dir``, ``depth_dir`` and ``std_features`` if given."""
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"manifest {path} is not JSON: {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("sequences"), list):
+        raise ValueError(f"manifest {path} has no 'sequences' list")
+    entries = manifest["sequences"]
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+            raise ValueError(f"manifest {path}: entry {i} has no string 'id'")
+    ids = [e["id"] for e in entries]
     if len(ids) != len(set(ids)):
-        raise ValueError("manifest sequence ids are not unique")
+        raise ValueError(f"manifest {path} sequence ids are not unique")
+    for entry in entries:
+        where = f"manifest {path}: sequence {entry['id']!r}"
+        for key in ("class_id", "subject_id", "view_id"):
+            if key not in entry:
+                raise ValueError(f"{where} has no {key!r}")
+            value = entry[key]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{where} needs an integer {key!r} >= 0, got {value!r}")
+        for key in ("rgb_dir", "depth_dir", "std_features"):
+            if not isinstance(entry.get(key, ""), str):
+                raise ValueError(f"{where} needs a string {key!r}, got {entry[key]!r}")
     return manifest

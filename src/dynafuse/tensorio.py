@@ -60,7 +60,6 @@ class VideoSequence:
     class_id: int = 0
     subject_id: int = 0
     view_id: int = 0
-    fps_hint: float | None = None
 
     def __post_init__(self):
         data = _freeze(self.data)
@@ -115,7 +114,6 @@ class FeatureSequence:
     class_id: int = 0
     subject_id: int = 0
     view_id: int = 0
-    fps_hint: float | None = None
 
     def __post_init__(self):
         vectors = _freeze(self.vectors)
@@ -334,8 +332,6 @@ def write_feature_sequence(seq: FeatureSequence, path) -> None:
         "subject_id": seq.subject_id,
         "view_id": seq.view_id,
     }
-    if seq.fps_hint is not None:
-        meta["fps_hint"] = seq.fps_hint
     write_tensor(seq.vectors.astype(np.float32), meta, path)
 
 
@@ -350,7 +346,6 @@ def read_feature_sequence(path) -> FeatureSequence:
         class_id=int(meta.get("class_id", 0)),
         subject_id=int(meta.get("subject_id", 0)),
         view_id=int(meta.get("view_id", 0)),
-        fps_hint=meta.get("fps_hint"),
     )
 
 

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from dynafuse import cli, imgproc
+from dynafuse.learn import pool_features
 from dynafuse.tensorio import (
     FeatureSequence,
+    read_feature_sequence,
     read_tensor,
     write_feature_sequence,
     write_frame,
@@ -178,8 +180,9 @@ class TestKeyframesCommand:
         assert cli.main(["keyframes", "--video", str(tmp_path / "vid"),
                          "--k", "4", "--roi-side", "16", "--out", str(out)]) == 0
         stack, _ = read_tensor(out.with_suffix(".rpt1"))
-        video = cli._load_video_dir(tmp_path / "vid")
-        pooled = cli._std_feature(video, {"k": 4, "roi_side": 16, "pool": "concat"})
+        entry = {"id": "vid", "depth_dir": "vid"}
+        pooled = cli._feature_matrix(tmp_path, [entry], "std",
+                                     {"k": 4, "roi_side": 16, "pool": "concat"})[0]
         np.testing.assert_array_equal(stack, pooled.astype(np.float32).reshape(stack.shape))
 
 
@@ -359,6 +362,85 @@ class TestPredictSelection:
         assert "records no protocol" in json.loads(capsys.readouterr().err)["message"]
         assert not (tmp_path / "none.csv").exists()
 
+
+class TestExternalFeatureHook:
+    def test_std_features_files_are_pooled(self, tmp_path):
+        """Entries that name a ``std_features`` file train and score the std
+        stream from it alone (no depth frames are listed), one row per file."""
+        corpus = tiny_corpus(tmp_path)
+        record = json.loads((corpus / "manifest.json").read_text())
+        (corpus / "features").mkdir()
+        rng = np.random.default_rng(5)
+        for entry in record["sequences"]:
+            entry["std_features"] = f"features/{entry['id']}.rpt1"
+            del entry["depth_dir"]
+            vectors = rng.random((3, 5)) + entry["class_id"]
+            write_feature_sequence(FeatureSequence(vectors=vectors), corpus / entry["std_features"])
+        manifest = corpus / "external.json"
+        manifest.write_text(json.dumps(record))
+        assert cli.main(["train", "--manifest", str(manifest), "--stream", "std",
+                         "--train-views", "1,2", "--test-views", "3", "--epochs", "2",
+                         "--model-out", str(tmp_path / "model")]) == 0
+        out = tmp_path / "scores.csv"
+        assert cli.main(["predict", "--model", str(tmp_path / "model"),
+                         "--manifest", str(manifest), "--out", str(out)]) == 0
+        test_ids = sorted(e["id"] for e in record["sequences"] if e["view_id"] == 3)
+        assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == test_ids
+
+        entries = sorted(record["sequences"], key=lambda e: e["id"])
+        matrix = cli._feature_matrix(corpus, entries, "std", {"pool": "mean"})
+        assert matrix.shape == (len(entries), 5)
+        for entry, row in zip(entries, matrix):
+            vectors = read_feature_sequence(corpus / entry["std_features"]).vectors
+            np.testing.assert_array_equal(row, pool_features(vectors))
+
+
+class TestManifestChecks:
+    def write_manifest(self, corpus, case):
+        path = corpus / "manifest.json"
+        if case == "not_json":
+            path.write_text("{not json")
+            return path
+        record = json.loads(path.read_text())
+        first = record["sequences"][0]  # c0_s0_v1, on the training side
+        if case == "missing_key":
+            del first["view_id"]
+        elif case == "string_id_value":
+            first["class_id"] = "0"
+        elif case == "missing_depth_dir":
+            del first["depth_dir"]
+        path.write_text(json.dumps(record))
+        return path
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("missing_key", "sequence 'c0_s0_v1' has no 'view_id'"),
+            ("string_id_value", "sequence 'c0_s0_v1' needs an integer 'class_id' >= 0, got '0'"),
+            ("missing_depth_dir", "sequence 'c0_s0_v1' has no 'depth_dir' in the manifest"),
+            ("not_json", "is not JSON"),
+        ],
+        ids=["missing_key", "string_id_value", "missing_depth_dir", "not_json"],
+    )
+    def test_bad_manifest_exits_1(self, tmp_path, capsys, case, message):
+        manifest = self.write_manifest(tiny_corpus(tmp_path), case)
+        capsys.readouterr()
+        model = tmp_path / "model"
+        code = cli.main(["train", "--manifest", str(manifest), "--stream", "std",
+                         "--roi-side", "16", "--train-views", "1,2", "--test-views", "3",
+                         "--epochs", "2", "--model-out", str(model)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert message in payload["message"]
+        if case != "missing_depth_dir":
+            assert payload["message"].startswith(f"manifest {manifest}")
+        assert not model.exists()
+        assert not list(tmp_path.glob("*.config.json"))
+
+
 class TestConcatLengthMismatch:
     def blank_depth_frames(self, corpus, seq_id, count, side=32):
         for t in range(count):
@@ -452,6 +534,51 @@ class TestErrorHandling:
         assert err == {
             "error": "ValueError",
             "message": f"score file {second} disagrees with {first} on sequence ids or labels",
+        }
+        assert not report.exists() and not list(tmp_path.glob("*.config.json"))
+
+    @pytest.mark.parametrize("command", ["fuse", "eval"])
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("b,1,nan,nan", "has a non-finite score"),
+            ("b,1,inf,0.0", "has a non-finite score"),
+            ("b,1,0.5", "has 3 fields, but its header has 4"),
+            ("b,1.0,0.5,0.5", "has a non-integer label '1.0'"),
+        ],
+        ids=["nan", "inf", "ragged", "non_integer_label"],
+    )
+    def test_bad_score_row_exits_1(self, tmp_path, capsys, command, row, problem):
+        """A bad row is an error naming the file and its line, whichever
+        position the file takes."""
+        header = "sequence_id,label,score_0,score_1\n"
+        good = tmp_path / "good.csv"
+        good.write_text(header + "a,0,0.25,0.75\nb,1,0.6,0.4\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + "a,0,0.25,0.75\n" + row + "\n")
+        out = tmp_path / "out"
+        if command == "fuse":
+            argv = ["fuse", "--scores", str(good), "--scores", str(bad), "--out", str(out)]
+        else:
+            argv = ["eval", "--scores", f"m={bad}", "--scores", f"s={good}",
+                    "--report-out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload == {"error": "ValueError", "message": f"score file {bad} line 3 {problem}"}
+        assert not out.exists() and not list(tmp_path.glob("*.config.json"))
+
+    def test_eval_repeated_stream_name_exit_1(self, tmp_path, capsys):
+        header = "sequence_id,label,score_0,score_1\n"
+        (tmp_path / "x.csv").write_text(header + "a,0,0.25,0.75\nb,1,0.6,0.4\n")
+        (tmp_path / "y.csv").write_text(header + "a,0,0.75,0.25\nb,1,0.4,0.6\n")
+        report = tmp_path / "report.json"
+        code = cli.main(["eval", "--scores", f"s={tmp_path / 'x.csv'}",
+                         "--scores", f"s={tmp_path / 'y.csv'}", "--report-out", str(report)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "--scores names stream 's' twice",
         }
         assert not report.exists() and not list(tmp_path.glob("*.config.json"))
 

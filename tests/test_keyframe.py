@@ -307,8 +307,7 @@ def unchecked_video(data):
     """A VideoSequence holding ``data`` without the constructor's checks, to
     show what the pipeline itself does with values no loader lets through."""
     video = object.__new__(VideoSequence)
-    for name, value in (("data", data), ("class_id", 0), ("subject_id", 0), ("view_id", 0),
-                        ("fps_hint", None)):
+    for name, value in (("data", data), ("class_id", 0), ("subject_id", 0), ("view_id", 0)):
         object.__setattr__(video, name, value)
     return video
 
