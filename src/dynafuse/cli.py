@@ -3,7 +3,7 @@
 Every subcommand is a thin wrapper over one module operation.  Once it
 succeeds, a resolved-config JSON is written next to its outputs; errors
 are reported as one JSON object on stderr.  Exit codes: 0 success, 1
-validation error, 2 I/O error.
+validation error (also a request too large for memory), 2 I/O error.
 """
 
 from __future__ import annotations
@@ -262,6 +262,11 @@ def cmd_rankpool_exact(args) -> Path:
 def cmd_train(args) -> Path:
     model_dir = Path(args.model_out)
     manifest = synthgen.load_manifest(args.manifest)
+    config = manifest.get("config")
+    num_classes = config.get("num_classes") if isinstance(config, dict) else None
+    if isinstance(num_classes, bool) or not isinstance(num_classes, int) or num_classes < 1:
+        raise ValueError(f"manifest {args.manifest} needs an integer "
+                         f"config.num_classes >= 1, got {num_classes!r}")
     root = Path(args.manifest).parent / manifest.get("root", ".")
     protocol = _protocol_from_args(args)
     train_ids, _ = fusion_eval.make_splits(manifest["sequences"], protocol)
@@ -275,7 +280,6 @@ def cmd_train(args) -> Path:
     }
     features = _feature_matrix(root, entries, args.stream, feature_cfg)
     samples = [(f, e["class_id"]) for f, e in zip(features, entries)]
-    num_classes = int(manifest["config"]["num_classes"])
     cfg = learn.AdamConfig(
         learning_rate=args.learning_rate,
         beta1=args.beta1,
@@ -471,7 +475,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _write_run_config(args, args.func(args))
         return 0
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1
     except OSError as exc:

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 ALPHA = 0.5
 BETA = 0.5
@@ -101,6 +100,8 @@ def _local_mean(img: np.ndarray) -> np.ndarray:
     # Separable correlation, reflect boundary: constant images stay
     # constant at the border, which the identity/constant-image oracles
     # rely on.
+    from scipy import ndimage  # here, so the motion stream never loads scipy
+
     tmp = ndimage.correlate1d(img, _WINDOW, axis=0, mode="reflect")
     return ndimage.correlate1d(tmp, _WINDOW, axis=1, mode="reflect")
 
@@ -213,6 +214,8 @@ def largest_component(masks) -> tuple[np.ndarray, np.ndarray]:
     contiguous range and the first maximal count in it is the component
     whose first pixel comes earliest in row-major order.
     """
+    from scipy import ndimage  # here, so the motion stream never loads scipy
+
     labels, _ = ndimage.label(_as_binary(masks, 3), structure=_IN_FRAME_8)
     counts = np.bincount(labels.ravel())
     last = np.maximum.accumulate(labels.reshape(len(labels), -1).max(axis=1))

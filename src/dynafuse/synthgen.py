@@ -106,9 +106,12 @@ def _clamped_center(value: float, radius: float, axis: str) -> float:
 
 def shape_at(cfg: SynthConfig, class_id: int, subject_id: int, t: int) -> ShapeSpec:
     """Canonical (pre-warp) ellipse of frame t, 0-based, for one class/subject."""
+    return _shape(cfg, class_id, _subject_traits(cfg, subject_id), t)
+
+
+def _shape(cfg: SynthConfig, class_id: int, traits: _SubjectTraits, t: int) -> ShapeSpec:
     if not 0 <= class_id < cfg.num_classes:
         raise ValueError(f"class_id {class_id} outside [0, {cfg.num_classes})")
-    traits = _subject_traits(cfg, subject_id)
     n = cfg.frames_per_video
     tau = t / (n - 1) if n > 1 else 0.0
     if class_id == 0:
@@ -156,37 +159,48 @@ def rasterize(shape: ShapeSpec, affine: np.ndarray, side: int) -> np.ndarray:
     against the canonical ellipse, so a view's frame is the exact affine
     warp of the canonical rendering.
     """
+    return _masks([shape], affine, side)[0]
+
+
+def _masks(shapes: list[ShapeSpec], affine: np.ndarray, side: int) -> np.ndarray:
+    """(n, side, side) masks of n ellipses under one warp: the grid is pulled
+    back once, and every frame's ellipse is tested with the same per-pixel
+    arithmetic as a single one."""
     coords = (np.arange(side, dtype=np.float64) + 0.5) / side
     xs, ys = np.meshgrid(coords, coords)
     inv = np.linalg.inv(affine)
     dx = xs - _CENTER
     dy = ys - _CENTER
-    cx = inv[0, 0] * dx + inv[0, 1] * dy + _CENTER
-    cy = inv[1, 0] * dx + inv[1, 1] * dy + _CENTER
-    return ((cx - shape.cx) / shape.rx) ** 2 + ((cy - shape.cy) / shape.ry) ** 2 <= 1.0
+    px = inv[0, 0] * dx + inv[0, 1] * dy + _CENTER
+    py = inv[1, 0] * dx + inv[1, 1] * dy + _CENTER
+    cx, cy, rx, ry = np.array([[s.cx, s.cy, s.rx, s.ry] for s in shapes]).T[:, :, None, None]
+    return ((px - cx) / rx) ** 2 + ((py - cy) / ry) ** 2 <= 1.0
 
 
 def _render_pair(cfg: SynthConfig, class_id: int, subject_id: int, view_id: int) -> SequencePair:
     traits = _subject_traits(cfg, subject_id)
-    noise_rng = np.random.default_rng([cfg.seed, 202, class_id, subject_id, view_id])
-    affine = view_affine(view_id)
+    n, side = cfg.frames_per_video, cfg.frame_side
+    shapes = [_shape(cfg, class_id, traits, t) for t in range(n)]
+    masks = _masks(shapes, view_affine(view_id), side)
     fill = np.array([0.75, 0.62, 0.50]) + np.asarray(traits.tint)
     background = 0.06
-    rgb_frames = []
-    depth_frames = []
-    for t in range(cfg.frames_per_video):
-        mask = rasterize(shape_at(cfg, class_id, subject_id, t), affine, cfg.frame_side)
-        rgb = background + (fill[:, None, None] - background) * mask[None, :, :]
-        if cfg.noise_sigma > 0:
-            rgb = rgb + cfg.noise_sigma * noise_rng.standard_normal(rgb.shape)
-        rgb = np.clip(rgb, 0.0, 1.0)
-        rgb_frames.append(rgb)
-        depth_frames.append(mask[None])
+    if cfg.noise_sigma > 0:
+        # one draw per video yields the same stream as one per frame
+        noise_rng = np.random.default_rng([cfg.seed, 202, class_id, subject_id, view_id])
+        rgb = noise_rng.standard_normal((n, 3, side, side))
+        rgb *= cfg.noise_sigma
+    else:
+        rgb = np.zeros((n, 3, side, side))
+    for c in range(3):
+        rgb[:, c] += background + (fill[c] - background) * masks
+    np.clip(rgb, 0.0, 1.0, out=rgb)
+    depth = masks[:, None].astype(np.float64)
+    rgb.flags.writeable = depth.flags.writeable = False
     meta = dict(class_id=class_id, subject_id=subject_id, view_id=view_id)
     return SequencePair(
         seq_id=f"c{class_id}_s{subject_id}_v{view_id}",
-        rgb=VideoSequence.from_frames(rgb_frames, **meta),
-        depth=VideoSequence.from_frames(depth_frames, **meta),
+        rgb=VideoSequence(rgb, **meta),
+        depth=VideoSequence(depth, **meta),
     )
 
 

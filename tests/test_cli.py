@@ -264,6 +264,47 @@ class TestModuleEntryPoint:
         assert not out.exists()
 
 
+class TestColdStart:
+    def test_motion_path_never_imports_scipy(self, tmp_path):
+        """A fresh process runs the whole motion stream, fusion and eval
+        without loading scipy; the first shape-stream call loads it."""
+        script = r"""
+import json, sys
+from pathlib import Path
+import numpy as np
+from dynafuse import cli
+from dynafuse.tensorio import FeatureSequence, write_feature_sequence
+
+tmp = Path(sys.argv[1])
+corpus = tmp / "corpus"
+manifest = str(corpus / "manifest.json")
+write_feature_sequence(FeatureSequence(vectors=np.array([[0.0], [1.0], [3.0]])), tmp / "seq.rpt1")
+steps = [
+    ["synth", "--out", str(corpus), "--subjects", "2", "--frames", "4", "--frame-side", "32"],
+    ["encode-di", "--video", str(corpus / "c0_s0_v1" / "rgb"), "--out", str(tmp / "di")],
+    ["rankpool-exact", "--features", str(tmp / "seq.rpt1"), "--out", str(tmp / "rank.json")],
+    ["train", "--manifest", manifest, "--stream", "motion", "--train-views", "1,2",
+     "--test-views", "3", "--epochs", "2", "--model-out", str(tmp / "model")],
+    ["predict", "--model", str(tmp / "model"), "--manifest", manifest,
+     "--out", str(tmp / "scores.csv")],
+    ["fuse", "--scores", str(tmp / "scores.csv"), "--out", str(tmp / "fused.csv")],
+    ["eval", "--scores", f"motion={tmp / 'scores.csv'}", "--report-out", str(tmp / "report.json")],
+]
+codes = [cli.main(step) for step in steps]
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+codes.append(cli.main(["keyframes", "--video", str(corpus / "c0_s0_v1" / "depth"),
+                       "--k", "2", "--roi-side", "16", "--out", str(tmp / "kf")]))
+print(json.dumps({"codes": codes, "before": before,
+                  "after": "scipy.ndimage" in sys.modules}))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result == {"codes": [0] * 8, "before": [], "after": True}, done.stderr
+
+
 def tiny_corpus(tmp_path, frames=4, side=16):
     corpus = tmp_path / "corpus"
     assert cli.main(["synth", "--out", str(corpus), "--subjects", "2",
@@ -441,6 +482,35 @@ class TestManifestChecks:
         assert not list(tmp_path.glob("*.config.json"))
 
 
+    @pytest.mark.parametrize(
+        "config",
+        [None, {}, {"num_classes": "3"}, {"num_classes": 0}, {"num_classes": True}],
+        ids=["no_config", "no_num_classes", "string", "zero", "bool"],
+    )
+    def test_bad_num_classes_exits_1(self, tmp_path, capsys, config):
+        corpus = tiny_corpus(tmp_path)
+        path = corpus / "manifest.json"
+        record = json.loads(path.read_text())
+        if config is None:
+            del record["config"]
+        else:
+            record["config"] = config
+        path.write_text(json.dumps(record))
+        capsys.readouterr()
+        model = tmp_path / "model"
+        code = cli.main(["train", "--manifest", str(path), "--stream", "motion",
+                         "--train-views", "1,2", "--test-views", "3",
+                         "--epochs", "2", "--model-out", str(model)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(f"manifest {path} needs an integer config.num_classes")
+        assert not model.exists()
+        assert not list(tmp_path.glob("*.config.json"))
+
+
 class TestConcatLengthMismatch:
     def blank_depth_frames(self, corpus, seq_id, count, side=32):
         for t in range(count):
@@ -482,6 +552,23 @@ class TestErrorHandling:
         assert code == 2  # missing files surface as I/O errors
         err = json.loads(capsys.readouterr().err)
         assert "message" in err
+
+    def test_memory_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        """A request too large for memory ends in the JSON error, not a
+        traceback (the allocation is simulated, never made)."""
+
+        def too_large(cfg):
+            raise MemoryError("Unable to allocate 671. GiB for an array")
+
+        monkeypatch.setattr(cli.synthgen, "generate", too_large)
+        out = tmp_path / "corpus"
+        assert cli.main(["synth", "--out", str(out), "--frame-side", "300000"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload == {"error": "MemoryError",
+                           "message": "Unable to allocate 671. GiB for an array"}
+        assert not out.exists()
 
     def test_unknown_flag_exit_1(self, tmp_path, capsys):
         """An unknown flag, including the similarity constants and the pair
