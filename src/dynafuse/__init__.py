@@ -9,7 +9,7 @@ from .tensorio import (
     write_tensor,
 )
 from .imgproc import SsimResult, ssim
-from .keyframe import KeyframeSelection, SsiiVector, select_keyframes, ssii_vector
+from .keyframe import KeyframeStack, select_keyframes
 from .rankpool import (
     ArpCoefficients,
     DynamicImage,

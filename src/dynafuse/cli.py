@@ -66,7 +66,6 @@ def _load_video_dir(directory, entry=None) -> tensorio.VideoSequence:
 def _feature_matrix(root: Path, entries: list[dict], stream: str, feature_cfg: dict) -> np.ndarray:
     """Each entry's pooled frame vectors (motion: its one dynamic image), one row
     per entry in order.  A row never depends on the split, so splits share rows."""
-    pool = feature_cfg.get("pool", "mean")
     key = "rgb_dir" if stream == "motion" else "depth_dir"
     rows = []
     for entry in entries:
@@ -79,11 +78,11 @@ def _feature_matrix(root: Path, entries: list[dict], stream: str, feature_cfg: d
         else:
             frames = keyframe.keyframe_stack(
                 _load_video_dir(root / entry[key], entry),
-                k=int(feature_cfg.get("k", 10)),
-                side=int(feature_cfg.get("roi_side", 227)),
-                on_silhouette=bool(feature_cfg.get("on_silhouette", True)),
+                k=feature_cfg["k"],
+                side=feature_cfg["roi_side"],
+                on_silhouette=feature_cfg["on_silhouette"],
             ).frames
-        row = learn.pool_features(frames.reshape(len(frames), -1), strategy=pool)
+        row = learn.pool_features(frames.reshape(len(frames), -1), strategy=feature_cfg["pool"])
         if rows and len(row) != len(rows[0]):
             raise ValueError(f"sequence {entry['id']!r} has feature length {len(row)}, "
                              f"but {entries[0]['id']!r} has {len(rows[0])}")
@@ -101,13 +100,37 @@ def _protocol_from_args(args) -> fusion_eval.SplitProtocol:
     return fusion_eval.SplitProtocol.cross_subject(args.train_subjects, args.test_subjects)
 
 
-def _recorded_test_side(entries: list[dict], sidecar: dict) -> list[dict]:
-    """The entries on the test side of the model's recorded protocol; unlike
-    ``make_splits``, this needs no training entries in the manifest."""
+# The feature settings a model records, by type (``type(v) is int`` rejects bools).
+_FEATURE_TYPES = {"k": int, "roi_side": int, "on_silhouette": bool, "pool": str}
+
+
+def _model_features(sidecar: dict, path: Path) -> tuple[str, dict]:
+    """The stream and feature settings that ``model.json`` at ``path`` records."""
+    stream, feature = sidecar.get("stream"), sidecar.get("feature")
+    if stream not in ("motion", "std"):
+        raise ValueError(f"model file {path} needs a 'stream' of 'motion' or 'std', got {stream!r}")
+    if not isinstance(feature, dict) or any(
+        type(feature.get(key)) is not kind for key, kind in _FEATURE_TYPES.items()
+    ):
+        raise ValueError(f"model file {path} needs a 'feature' block with integer 'k' and "
+                         f"'roi_side', boolean 'on_silhouette' and string 'pool', got {feature!r}")
+    return stream, feature
+
+
+def _recorded_test_side(entries: list[dict], sidecar: dict, path: Path) -> list[dict]:
+    """The entries on the test side of the protocol that ``model.json`` at
+    ``path`` records; unlike ``make_splits``, this needs no training entries
+    in the manifest."""
     record = sidecar.get("protocol")
     if not record:
-        raise ValueError("model.json records no protocol: pass --views or --subjects")
-    protocol = fusion_eval.SplitProtocol(record["kind"], record["train"], record["test"])
+        raise ValueError(f"model file {path} records no protocol: pass --views or --subjects")
+    if not isinstance(record, dict) or {"kind", "train", "test"} - record.keys():
+        raise ValueError(f"model file {path} needs a protocol with 'kind', 'train' and 'test', "
+                         f"got {record!r}")
+    try:
+        protocol = fusion_eval.SplitProtocol(record["kind"], record["train"], record["test"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model file {path} records an unusable protocol: {exc}") from None
     return [e for e in entries if protocol.key_of(e) in protocol.test]
 
 
@@ -202,8 +225,8 @@ def cmd_keyframes(args) -> Path:
     with open(out.with_suffix(".csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pair_index", "ssii"])
-        for pair_index, value in stack.ssii.entries:
-            writer.writerow([pair_index, repr(value)])
+        for pair_index in stack.ranking.tolist():
+            writer.writerow([pair_index, repr(float(stack.similarity[pair_index - 1]))])
     tensorio.write_tensor(
         stack.frames.astype(np.float32),
         {
@@ -272,14 +295,6 @@ def cmd_train(args) -> Path:
     train_ids, _ = fusion_eval.make_splits(manifest["sequences"], protocol)
     by_id = {e["id"]: e for e in manifest["sequences"]}
     entries = [by_id[i] for i in train_ids]
-    feature_cfg = {
-        "k": args.k,
-        "roi_side": args.roi_side,
-        "on_silhouette": not args.on_raw,
-        "pool": args.pool,
-    }
-    features = _feature_matrix(root, entries, args.stream, feature_cfg)
-    samples = [(f, e["class_id"]) for f, e in zip(features, entries)]
     cfg = learn.AdamConfig(
         learning_rate=args.learning_rate,
         beta1=args.beta1,
@@ -289,7 +304,15 @@ def cmd_train(args) -> Path:
         batch_size=args.batch_size,
         seed=args.seed,
     )
-    model, log = learn.train(samples, num_classes, cfg, val_fraction=args.val_fraction)
+    feature_cfg = {
+        "k": args.k,
+        "roi_side": args.roi_side,
+        "on_silhouette": not args.on_raw,
+        "pool": args.pool,
+    }
+    features = _feature_matrix(root, entries, args.stream, feature_cfg)
+    labels = [e["class_id"] for e in entries]
+    model, log = learn.train(features, labels, num_classes, cfg, val_fraction=args.val_fraction)
     learn.save_model(
         model,
         model_dir,
@@ -307,7 +330,7 @@ def cmd_train(args) -> Path:
         },
     )
     print(
-        f"trained {args.stream} stream on {len(samples)} sequences; "
+        f"trained {args.stream} stream on {len(entries)} sequences; "
         f"best epoch {log.best_epoch} (val acc {log.best_val_accuracy:.3f}) -> {model_dir}"
     )
     return model_dir
@@ -316,6 +339,8 @@ def cmd_train(args) -> Path:
 def cmd_predict(args) -> Path:
     out = Path(args.out)
     model, sidecar = learn.load_model(args.model)
+    sidecar_path = Path(args.model) / "model.json"
+    stream, feature_cfg = _model_features(sidecar, sidecar_path)
     manifest = synthgen.load_manifest(args.manifest)
     root = Path(args.manifest).parent / manifest.get("root", ".")
     entries = manifest["sequences"]
@@ -324,12 +349,10 @@ def cmd_predict(args) -> Path:
     if args.subjects:
         entries = [e for e in entries if e["subject_id"] in set(args.subjects)]
     if not (args.views or args.subjects):
-        entries = _recorded_test_side(entries, sidecar)
+        entries = _recorded_test_side(entries, sidecar, sidecar_path)
     if not entries:
         raise ValueError("no sequences match the requested filter")
     entries = sorted(entries, key=lambda e: e["id"])
-    stream = sidecar.get("stream", "motion")
-    feature_cfg = sidecar.get("feature", {})
     ids = [e["id"] for e in entries]
     labels = [e["class_id"] for e in entries]
     scores = learn.predict(model, _feature_matrix(root, entries, stream, feature_cfg))

@@ -147,19 +147,19 @@ def ssim(f1, f2) -> SsimResult:
     return SsimResult(global_index=float(local.mean()), local_map=local)
 
 
-def consecutive_ssim(frames) -> list[float]:
-    """Global index of each consecutive pair of an (n, H, W) stack: n - 1
-    values, pair i joining frames i and i + 1.  Each frame's moments are
-    computed once and shared by the two pairs it belongs to."""
+def consecutive_ssim(frames) -> np.ndarray:
+    """Global index of each consecutive pair of an (n, H, W) stack: a float64
+    array of n - 1 values, pair i joining frames i and i + 1.  Each frame's
+    moments are computed once and shared by the two pairs it belongs to."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3:
         raise ValueError(f"expected an (n, H, W) stack, got ndim={frames.ndim}")
     _check_window(frames.shape[1:])
-    values = []
     prev = _moments(frames[0])
-    for frame in frames[1:]:
+    values = np.empty(len(frames) - 1)
+    for i, frame in enumerate(frames[1:]):
         cur = _moments(frame)
-        values.append(float(_ssim_map(prev, cur).mean()))
+        values[i] = _ssim_map(prev, cur).mean()
         prev = cur
     return values
 

@@ -1,8 +1,10 @@
 """Key-frame selection ranked by consecutive-pair structural similarity.
 
-Low similarity between neighboring frames marks a salient pose change,
-so pairs are sorted ascending by similarity and the leading frame of
-each pair is picked until k key frames are collected.
+Low similarity between neighboring frames marks a salient pose change.
+The key frames of an n-frame video are the leading frames of its k least
+similar consecutive pairs, in temporal order (ties go to the earlier
+pair), or all n frames when k >= n.  Each pair contributes a distinct
+leading frame, so no frame is picked twice and none is backfilled.
 
 A depth video is processed whole, as its (n, 1, H, W) array, through the
 public ``imgproc`` functions.  Silhouettes and largest components of all
@@ -18,7 +20,7 @@ time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
@@ -26,35 +28,25 @@ from . import imgproc
 from .tensorio import VideoSequence
 
 
-@dataclass(frozen=True)
-class SsiiVector:
-    """Similarity of each consecutive frame pair, sorted ascending.
+@dataclasses.dataclass(frozen=True)
+class KeyframeStack:
+    """Preprocessed key frames stacked [K, side, side] in temporal order.
 
-    ``entries`` holds (pair_index, ssii) tuples with 1-based pair index i
-    for the pair (frame_i, frame_{i+1}); ties sort by ascending index.
+    ``frame_indices`` are the 1-based frame numbers of the stacked frames
+    (raw frame numbers for ``keyframe_stack``).  ``dropped_indices`` are
+    the raw frames whose silhouette came out empty, so they took no part
+    in ranking or selection.  ``similarity`` holds the read-only float64
+    index of each consecutive pair of kept frames (pair i joins the i-th
+    and (i+1)-th kept frame); ``ranking`` lists the 1-based pairs by
+    ascending similarity.  Both are empty when fewer than 2 frames were
+    kept.
     """
 
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        entries = tuple((int(i), float(v)) for i, v in self.entries)
-        if not all(np.isfinite(v) for _, v in entries):
-            raise ValueError("similarity values must be finite")
-        object.__setattr__(self, "entries", entries)
-
-
-@dataclass(frozen=True)
-class KeyframeSelection:
-    """Strictly increasing 1-based frame indices, at most min(k, n) of them."""
-
+    frames: np.ndarray
     frame_indices: tuple[int, ...]
-    k_requested: int
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.frame_indices)
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("frame indices must be strictly increasing")
-        object.__setattr__(self, "frame_indices", idx)
+    dropped_indices: tuple[int, ...]
+    similarity: np.ndarray
+    ranking: np.ndarray
 
 
 def _planes(video: VideoSequence) -> np.ndarray:
@@ -91,72 +83,28 @@ def preprocess_video(
     return processed, [int(i) + 1 for i in np.flatnonzero(~found)]
 
 
-def ssii_vector(video: VideoSequence) -> SsiiVector:
-    """Similarity of every consecutive frame pair, sorted ascending.
-
-    Frames must be single-channel and already preprocessed (silhouette /
-    ROI) as far as the caller wants them to be.
-    """
-    n = len(video)
-    if n < 2:
-        raise ValueError(f"need at least 2 frames, got {n}")
-    values = imgproc.consecutive_ssim(_planes(video))
-    entries = sorted(enumerate(values, start=1), key=lambda e: (e[1], e[0]))
-    return SsiiVector(entries=tuple(entries))
-
-
-def _pick(vec: SsiiVector, n: int, k: int) -> tuple[int, ...]:
-    """Walk the ascending similarity vector of an n-frame video for k key frames.
-
-    Emits the leading frame of each pair, deduplicates, and backfills from
-    the tail of the video when fewer than k distinct indices are
-    available.  The result is sorted ascending to preserve temporal order.
-    """
+def select_keyframes(video: VideoSequence, k: int = 10) -> KeyframeStack:
+    """Rank the consecutive pairs of an already preprocessed single-channel
+    video and stack its k key frames (see the module docstring for the rule).
+    A stable sort breaks similarity ties by ascending pair index."""
+    planes = _planes(video)
+    n = len(planes)
+    similarity = imgproc.consecutive_ssim(planes) if n >= 2 else np.empty(0)
+    if not np.isfinite(similarity).all():
+        raise ValueError("similarity values must be finite")
     if k < 1:
         raise ValueError("k must be >= 1")
-    want = min(k, n)
-    chosen: list[int] = []
-    seen: set[int] = set()
-    for idx, _ in vec.entries:
-        if idx not in seen:
-            seen.add(idx)
-            chosen.append(idx)
-        if len(chosen) == want:
-            break
-    if len(chosen) < want and n not in seen:
-        seen.add(n)
-        chosen.append(n)
-    for idx in range(1, n + 1):
-        if len(chosen) == want:
-            break
-        if idx not in seen:
-            seen.add(idx)
-            chosen.append(idx)
-    return tuple(sorted(chosen))
-
-
-def select_keyframes(video: VideoSequence, k: int = 10) -> KeyframeSelection:
-    """Pick the k frames of an already preprocessed video whose pairs have
-    the lowest similarity (see ``_pick`` for the walk and the backfill)."""
-    indices = _pick(ssii_vector(video), len(video), k)
-    return KeyframeSelection(frame_indices=indices, k_requested=k)
-
-
-@dataclass(frozen=True)
-class KeyframeStack:
-    """Preprocessed key frames stacked [K, side, side] in temporal order.
-
-    ``frame_indices`` are the raw 1-based frame numbers of the stacked
-    frames.  ``dropped_indices`` are the raw frames whose silhouette came
-    out empty, so they took no part in ranking or selection.  ``ssii``
-    ranks consecutive pairs of the kept frames (pair i joins the i-th and
-    (i+1)-th kept frame); it is empty when fewer than 2 frames were kept.
-    """
-
-    frames: np.ndarray
-    frame_indices: tuple[int, ...]
-    dropped_indices: tuple[int, ...]
-    ssii: SsiiVector
+    ranking = np.argsort(similarity, kind="stable") + 1
+    picked = np.arange(1, n + 1) if k >= n else np.sort(ranking[:k])
+    similarity.flags.writeable = False
+    ranking.flags.writeable = False
+    return KeyframeStack(
+        frames=planes[picked - 1],
+        frame_indices=tuple(picked.tolist()),
+        dropped_indices=(),
+        similarity=similarity,
+        ranking=ranking,
+    )
 
 
 def keyframe_stack(
@@ -172,14 +120,10 @@ def keyframe_stack(
     local moments).  A video with a single kept frame stacks that frame.
     """
     processed, dropped = preprocess_video(video, side=side, on_silhouette=on_silhouette)
-    n = len(processed)
-    vec = ssii_vector(processed) if n >= 2 else SsiiVector(entries=())
-    picked = _pick(vec, n, k)
-    skipped = set(dropped)
-    kept_raw = [i for i in range(1, len(video) + 1) if i not in skipped]
-    return KeyframeStack(
-        frames=processed.data[np.subtract(picked, 1), 0],
-        frame_indices=tuple(kept_raw[i - 1] for i in picked),
+    selection = select_keyframes(processed, k)
+    kept_raw = np.setdiff1d(np.arange(1, len(video) + 1), dropped)
+    return dataclasses.replace(
+        selection,
+        frame_indices=tuple(kept_raw[np.subtract(selection.frame_indices, 1)].tolist()),
         dropped_indices=tuple(dropped),
-        ssii=vec,
     )

@@ -30,8 +30,9 @@ class AdamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        for name in ("learning_rate", "epsilon"):
+            if not 0 < getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
         if self.epochs < 0 or self.batch_size < 1:
@@ -164,28 +165,29 @@ class AdamState:
 
 
 def train(
-    features: Sequence[tuple[np.ndarray, int]],
+    features: np.ndarray,
+    labels,
     num_classes: int,
     cfg: AdamConfig,
     val_fraction: float = 0.2,
 ) -> tuple[LinearModel, TrainLog]:
-    """Fit a linear softmax model on (vector, class_id) samples.
+    """Fit a linear softmax model on an (n, d) feature matrix and its n class ids.
 
-    The samples are shuffled once with the config seed, split
+    The rows are shuffled once with the config seed, split
     train/validation by ``val_fraction``, standardized from the training
     split, and trained with Adam over seeded minibatch shuffles.  The
     returned model carries the parameters of the epoch with the highest
     validation accuracy (earliest epoch on ties; the final parameters
     when there is no validation split).
     """
-    if not features:
-        raise ValueError("no training samples")
-    x = np.asarray([np.asarray(v, dtype=np.float64).ravel() for v, _ in features])
-    y = np.asarray([int(c) for _, c in features])
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    if x.ndim != 2 or len(x) == 0:
+        raise ValueError(f"expected a non-empty (n, d) feature matrix, got shape {x.shape}")
+    if y.shape != (len(x),) or not np.issubdtype(y.dtype, np.integer):
+        raise ValueError(f"expected {len(x)} integer class ids, got shape {y.shape} of {y.dtype}")
     if np.any(y < 0) or np.any(y >= num_classes):
         raise ValueError("class ids must lie in [0, num_classes)")
-    if x.ndim != 2:
-        raise ValueError("feature vectors must share one dimension")
     if not 0 <= val_fraction < 1:
         raise ValueError("val_fraction must lie in [0, 1)")
     dim = x.shape[1]
@@ -334,14 +336,21 @@ def save_model(
 def load_model(directory) -> tuple[LinearModel, dict]:
     """Read a model directory back; returns (model, sidecar dict)."""
     directory = Path(directory)
-    sidecar = json.loads((directory / "model.json").read_text())
+    path = directory / "model.json"
+    sidecar = json.loads(path.read_text())
+    required = {"num_classes": int, "dim": int, "feature_mean": list, "feature_scale": list}
+    for key, kind in required.items():
+        value = sidecar.get(key) if isinstance(sidecar, dict) else None
+        if type(value) is not kind:  # not isinstance: a bool is no class count
+            raise ValueError(f"model file {path} needs {'an integer' if kind is int else 'a list'} "
+                             f"{key!r}, got {value!r:.60}")
     weights, _ = read_tensor(directory / "weights.rpt1")
     bias, _ = read_tensor(directory / "bias.rpt1")
     model = LinearModel(
         weights=weights.astype(np.float64),
         bias=bias.astype(np.float64).ravel(),
-        num_classes=int(sidecar["num_classes"]),
-        dim=int(sidecar["dim"]),
+        num_classes=sidecar["num_classes"],
+        dim=sidecar["dim"],
         feature_mean=np.asarray(sidecar["feature_mean"], dtype=np.float64),
         feature_scale=np.asarray(sidecar["feature_scale"], dtype=np.float64),
     )

@@ -53,8 +53,8 @@ class SynthConfig:
                 raise ValueError(f"{name} must be positive")
         if self.num_classes > 3:
             raise ValueError("only 3 motion programs are defined")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < float("inf"):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -182,7 +183,8 @@ class TestKeyframesCommand:
         stack, _ = read_tensor(out.with_suffix(".rpt1"))
         entry = {"id": "vid", "depth_dir": "vid"}
         pooled = cli._feature_matrix(tmp_path, [entry], "std",
-                                     {"k": 4, "roi_side": 16, "pool": "concat"})[0]
+                                     {"k": 4, "roi_side": 16, "on_silhouette": True,
+                                      "pool": "concat"})[0]
         np.testing.assert_array_equal(stack, pooled.astype(np.float32).reshape(stack.shape))
 
 
@@ -404,6 +406,62 @@ class TestPredictSelection:
         assert not (tmp_path / "none.csv").exists()
 
 
+class TestModelFileChecks:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        """A tiny corpus and a std model trained on it, shared by every case."""
+        tmp_path = tmp_path_factory.mktemp("model_file")
+        corpus = tiny_corpus(tmp_path, side=32)
+        model = tmp_path / "model"
+        assert cli.main(["train", "--manifest", str(corpus / "manifest.json"), "--stream", "std",
+                         "--roi-side", "16", "--train-views", "1,2", "--test-views", "3",
+                         "--epochs", "2", "--model-out", str(model)]) == 0
+        return corpus, model
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r.pop("dim"),
+            lambda r: r.update(num_classes="3"),
+            lambda r: r.update(dim=True),
+            lambda r: r.pop("feature_mean"),
+            lambda r: r["protocol"].pop("train"),
+            lambda r: r["protocol"].update(test=3),
+            lambda r: r.update(stream="depth"),
+            lambda r: r.pop("stream"),
+            lambda r: r.pop("feature"),
+            lambda r: r["feature"].pop("on_silhouette"),
+            lambda r: r["feature"].update(k=2.5),
+            lambda r: r["feature"].update(on_silhouette="false"),
+        ],
+        ids=["no_dim", "string_num_classes", "bool_dim", "no_feature_mean",
+             "protocol_without_train", "scalar_test_side", "depth_stream", "no_stream",
+             "no_feature", "feature_without_on_silhouette", "float_k", "string_on_silhouette"],
+    )
+    def test_bad_model_file_exits_1(self, trained, tmp_path, capsys, edit):
+        """A model.json that lacks or mistypes what predict reads is named in
+        a one-line JSON error before any sequence is scored."""
+        corpus, model = trained
+        broken = tmp_path / "model"
+        shutil.copytree(model, broken)
+        sidecar = broken / "model.json"
+        record = json.loads(sidecar.read_text())
+        edit(record)
+        sidecar.write_text(json.dumps(record))
+        capsys.readouterr()
+        out = tmp_path / "scores.csv"
+        code = cli.main(["predict", "--model", str(broken), "--manifest",
+                         str(corpus / "manifest.json"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(f"model file {sidecar} ")
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.config.json"))
+
+
 class TestExternalFeatureHook:
     def test_std_features_files_are_pooled(self, tmp_path):
         """Entries that name a ``std_features`` file train and score the std
@@ -568,6 +626,44 @@ class TestErrorHandling:
         payload = json.loads(err)
         assert payload == {"error": "MemoryError",
                            "message": "Unable to allocate 671. GiB for an array"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--learning-rate", "nan"],
+            ["--learning-rate", "inf"],
+            ["--learning-rate", "0"],
+            ["--epsilon", "-1"],
+            ["--epsilon", "nan"],
+            ["--epsilon", "0"],
+        ],
+    )
+    def test_bad_adam_hyperparameters_exit_1(self, tmp_path, capsys, monkeypatch, flags):
+        """Adam's settings are checked before any video is read."""
+        corpus = tiny_corpus(tmp_path)
+        read = []
+        monkeypatch.setattr(cli, "_load_video_dir", lambda *args: read.append(args))
+        capsys.readouterr()
+        model = tmp_path / "model"
+        code = cli.main(["train", "--manifest", str(corpus / "manifest.json"), "--stream", "motion",
+                         "--train-views", "1,2", "--test-views", "3", "--epochs", "2",
+                         "--model-out", str(model), *flags])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{flags[0][2:].replace('-', '_')} must be finite and > 0")
+        assert read == []
+        assert not model.exists()
+        assert not list(tmp_path.glob("*.config.json"))
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
+    def test_bad_noise_sigma_exit_1(self, tmp_path, capsys, sigma):
+        out = tmp_path / "corpus"
+        assert cli.main(["synth", "--out", str(out), "--noise-sigma", sigma]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("noise_sigma must be finite and >= 0")
         assert not out.exists()
 
     def test_unknown_flag_exit_1(self, tmp_path, capsys):

@@ -142,7 +142,8 @@ class TestSsim:
         rng = np.random.default_rng(11)
         frames = rng.random((4, 13, 12))
         values = consecutive_ssim(frames)
-        assert values == [ssim(a, b).global_index for a, b in zip(frames, frames[1:])]
+        assert values.dtype == np.float64
+        assert values.tolist() == [ssim(a, b).global_index for a, b in zip(frames, frames[1:])]
 
     def test_consecutive_needs_a_stack(self):
         with pytest.raises(ValueError, match="ndim=2"):

@@ -7,15 +7,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from dynafuse import imgproc
-from dynafuse.keyframe import (
-    KeyframeSelection,
-    SsiiVector,
-    _pick,
-    keyframe_stack,
-    preprocess_video,
-    select_keyframes,
-    ssii_vector,
-)
+from dynafuse.keyframe import keyframe_stack, preprocess_video, select_keyframes
 from dynafuse.tensorio import VideoSequence
 
 
@@ -39,38 +31,86 @@ def eleven_frame_video():
 
 
 class TestSsiiVector:
+    """The similarity vector (``similarity`` in pair order) and its ranking."""
+
     def test_constant_video_ties_break_ascending(self):
-        video = make_video([block_frame()] * 5)
-        vec = ssii_vector(video)
-        assert [i for i, _ in vec.entries] == [1, 2, 3, 4]
-        assert all(v == 1.0 for _, v in vec.entries)
+        sel = select_keyframes(make_video([block_frame()] * 5))
+        assert sel.ranking.tolist() == [1, 2, 3, 4]
+        assert sel.similarity.tolist() == [1.0] * 4
 
     def test_distinct_tail_sorts_first(self):
-        vec = ssii_vector(eleven_frame_video())
-        indices = [i for i, _ in vec.entries]
-        values = [v for _, v in vec.entries]
-        assert indices[0] == 10
+        sel = select_keyframes(eleven_frame_video())
+        values = sel.similarity[sel.ranking - 1]
+        assert sel.ranking[0] == 10
         assert values[0] < 1.0
         assert all(v == 1.0 for v in values[1:])
 
     def test_reversal_preserves_value_multiset(self):
         rng = np.random.default_rng(31)
         frames = [rng.random((12, 12)) for _ in range(6)]
-        fwd = ssii_vector(make_video(frames))
-        rev = ssii_vector(make_video(frames[::-1]))
-        np.testing.assert_allclose(
-            sorted(v for _, v in fwd.entries),
-            sorted(v for _, v in rev.entries),
-            atol=1e-12,
-        )
+        fwd = select_keyframes(make_video(frames)).similarity
+        rev = select_keyframes(make_video(frames[::-1])).similarity
+        np.testing.assert_allclose(np.sort(fwd), np.sort(rev), atol=1e-12)
+        np.testing.assert_allclose(fwd, rev[::-1], atol=1e-12)
 
     def test_too_short(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            ssii_vector(make_video([block_frame()]))
+        """One frame has no pair to rank, so it is its own key frame."""
+        video = make_video([block_frame()])
+        sel = select_keyframes(video, k=3)
+        assert sel.similarity.shape == (0,) and sel.similarity.dtype == np.float64
+        assert sel.ranking.shape == (0,)
+        assert sel.frame_indices == (1,)
+        np.testing.assert_array_equal(sel.frames, video.data[:, 0])
+
+
+def old_walk(entries, n, k):
+    """The dedupe-and-backfill walk that picked key frames before the closed
+    form: ``entries`` are (pair_index, similarity) sorted ascending."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    want = min(k, n)
+    chosen: list[int] = []
+    seen: set[int] = set()
+    for idx, _ in entries:
+        if idx not in seen:
+            seen.add(idx)
+            chosen.append(idx)
+        if len(chosen) == want:
+            break
+    if len(chosen) < want and n not in seen:
+        seen.add(n)
+        chosen.append(n)
+    for idx in range(1, n + 1):
+        if len(chosen) == want:
+            break
+        if idx not in seen:
+            seen.add(idx)
+            chosen.append(idx)
+    return tuple(sorted(chosen))
 
 
 class TestSelectKeyframes:
-    def test_short_video_backfills_tail(self):
+    def test_closed_form_matches_the_walk(self, monkeypatch):
+        """Sort-and-take equals the old walk for every n and k, ties included:
+        the similarities are drawn from a few levels, so most videos tie."""
+        rng = np.random.default_rng(34)
+        drawn = {}
+        monkeypatch.setattr(imgproc, "consecutive_ssim", lambda planes: drawn["values"].copy())
+        for n in range(1, 13):
+            video = make_video(list(rng.random((n, 2, 3))))
+            for trial in range(8):
+                levels = rng.choice([0.25, 0.5, 1.0], size=3) if trial % 2 else rng.random(3)
+                drawn["values"] = rng.choice(levels, size=n - 1)
+                entries = sorted(enumerate(drawn["values"].tolist(), start=1),
+                                 key=lambda e: (e[1], e[0]))
+                for k in range(1, n + 3):
+                    sel = select_keyframes(video, k=k)
+                    assert sel.frame_indices == old_walk(entries, n, k)
+                    assert [(i, sel.similarity[i - 1]) for i in sel.ranking.tolist()] == entries
+                    picked = np.subtract(sel.frame_indices, 1)
+                    np.testing.assert_array_equal(sel.frames, video.data[picked, 0])
+
+    def test_short_video_keeps_every_frame(self):
         video = make_video([block_frame()] * 5)
         sel = select_keyframes(video, k=10)
         assert sel.frame_indices == (1, 2, 3, 4, 5)
@@ -95,8 +135,7 @@ class TestSelectKeyframes:
         for _ in range(5):
             frames = [rng.random((12, 12)) for _ in range(7)]
             video = make_video(frames)
-            vec = ssii_vector(video)
-            best_pair = vec.entries[0][0]
+            best_pair = select_keyframes(video).ranking[0]
             for k in (1, 3, 6):
                 assert best_pair in select_keyframes(video, k=k).frame_indices
 
@@ -112,8 +151,19 @@ class TestSelectKeyframes:
             assert before <= after
 
     def test_selection_invariants(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            KeyframeSelection(frame_indices=(3, 3), k_requested=2)
+        """Indices strictly increase, and the vectors are read-only float64 and
+        1-based integer arrays; k below 1 is refused."""
+        video = eleven_frame_video()
+        sel = select_keyframes(video, k=4)
+        assert all(b > a for a, b in zip(sel.frame_indices, sel.frame_indices[1:]))
+        assert all(type(i) is int for i in sel.frame_indices)
+        assert sel.similarity.dtype == np.float64 and sel.similarity.shape == (10,)
+        assert sorted(sel.ranking.tolist()) == list(range(1, 11))
+        for arr in (sel.similarity, sel.ranking):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            select_keyframes(video, k=0)
 
 
 class TestKeyframeStack:
@@ -134,7 +184,8 @@ class TestKeyframeStack:
         assert stack.frames.shape == (10, 16, 16)
         assert stack.frame_indices == sel.frame_indices
         assert stack.dropped_indices == ()
-        assert len(stack.ssii.entries) == 11
+        assert stack.similarity.shape == (11,)
+        np.testing.assert_array_equal(stack.similarity, sel.similarity)
         expected = np.stack([processed.data[i - 1, 0] for i in sel.frame_indices])
         np.testing.assert_array_equal(stack.frames, expected)
 
@@ -145,7 +196,7 @@ class TestKeyframeStack:
         assert stack.frames.shape == (1, 16, 16)
         assert stack.frame_indices == (2,)
         assert stack.dropped_indices == (1, 3)
-        assert stack.ssii.entries == ()
+        assert stack.similarity.shape == stack.ranking.shape == (0,)
 
     def test_all_background_video_errors(self):
         video = make_video([np.zeros((16, 16))] * 4)
@@ -162,7 +213,7 @@ class TestKeyframeStack:
         assert stack.dropped_indices == (3,)
         assert 3 not in stack.frame_indices
         assert stack.frames.shape == (3, 16, 16)
-        assert sorted(i for i, _ in stack.ssii.entries) == [1, 2, 3, 4]
+        assert sorted(stack.ranking.tolist()) == [1, 2, 3, 4]
 
     def test_silhouette_content_binary(self):
         stack = keyframe_stack(self.depth_video(), k=3, side=16)
@@ -278,17 +329,20 @@ def oracle_keyframe_stack(video, k=10, side=227, on_silhouette=True):
     planes = VideoSequence.from_frames(kept).data[:, 0]
     n = len(planes)
     values = [(i, oracle_ssim(planes[i - 1], planes[i])) for i in range(1, n)]
+    if not all(np.isfinite(v) for _, v in values):
+        raise ValueError("similarity values must be finite")
     values.sort(key=lambda e: (e[1], e[0]))
-    vec = SsiiVector(entries=tuple(values))
-    picked = _pick(vec, n, k)
+    picked = old_walk(values, n, k)
     kept_raw = [i for i in range(1, len(video) + 1) if i not in dropped]
     frames = planes[np.subtract(picked, 1)]
-    return frames.tobytes(), tuple(kept_raw[i - 1] for i in picked), tuple(dropped), vec.entries
+    return frames.tobytes(), tuple(kept_raw[i - 1] for i in picked), tuple(dropped), tuple(values)
 
 
 def stack_outputs(video, **kwargs):
+    """(frame bytes, frame_indices, dropped_indices, (pair, ssii) in ranked order)."""
     stack = keyframe_stack(video, **kwargs)
-    return stack.frames.tobytes(), stack.frame_indices, stack.dropped_indices, stack.ssii.entries
+    ranked = tuple((i, float(stack.similarity[i - 1])) for i in stack.ranking.tolist())
+    return stack.frames.tobytes(), stack.frame_indices, stack.dropped_indices, ranked
 
 
 def outcome(fn, *args, **kwargs):

@@ -37,8 +37,7 @@ def two_clusters(seed=50, n_per_class=20, gap=4.0):
     rng = np.random.default_rng(seed)
     a = rng.random((n_per_class, 2)) + np.array([gap / 2, gap / 2])
     b = rng.random((n_per_class, 2)) - np.array([gap / 2, gap / 2])
-    samples = [(v, 0) for v in a] + [(v, 1) for v in b]
-    return samples
+    return np.vstack([a, b]), np.repeat([0, 1], n_per_class)
 
 
 class TestSoftmax:
@@ -69,47 +68,58 @@ class TestSoftmax:
 
 class TestTrain:
     def test_separable_clusters_reach_full_accuracy(self):
-        samples = two_clusters()
-        x = np.array([v for v, _ in samples])
-        y = np.array([c for _, c in samples])
+        x, y = two_clusters()
         assert perceptron_separable(x, y)
         cfg = AdamConfig(seed=7)
-        model, log = train(samples, num_classes=2, cfg=cfg)
-        pred = np.array([np.argmax(predict(model, v)) for v, _ in samples])
+        model, log = train(x, y, num_classes=2, cfg=cfg)
+        pred = np.array([np.argmax(predict(model, v)) for v in x])
         assert (pred == y).mean() == 1.0
         assert log.best_epoch >= 1
 
     def test_zero_epochs_gives_uniform_model(self):
-        samples = two_clusters()
-        model, _ = train(samples, num_classes=2, cfg=AdamConfig(epochs=0, seed=1))
+        x, y = two_clusters()
+        model, _ = train(x, y, num_classes=2, cfg=AdamConfig(epochs=0, seed=1))
         np.testing.assert_array_equal(model.weights, 0.0)
-        np.testing.assert_allclose(predict(model, samples[0][0]), [0.5, 0.5])
+        np.testing.assert_allclose(predict(model, x[0]), [0.5, 0.5])
 
     def test_bitwise_determinism(self):
-        samples = two_clusters(seed=53)
+        x, y = two_clusters(seed=53)
         cfg = AdamConfig(seed=99, epochs=10)
-        m1, _ = train(samples, num_classes=2, cfg=cfg)
-        m2, _ = train(samples, num_classes=2, cfg=cfg)
+        m1, _ = train(x, y, num_classes=2, cfg=cfg)
+        m2, _ = train(x, y, num_classes=2, cfg=cfg)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         np.testing.assert_array_equal(m1.bias, m2.bias)
 
     def test_missing_class_rejected(self):
-        samples = [(np.array([0.0, 1.0]), 0)] * 8
+        x, y = np.tile([0.0, 1.0], (8, 1)), np.zeros(8, dtype=int)
         with pytest.raises(ValueError, match="zero samples"):
-            train(samples, num_classes=2, cfg=AdamConfig(seed=0))
+            train(x, y, num_classes=2, cfg=AdamConfig(seed=0))
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (np.zeros((0, 2)), np.zeros(0, dtype=int)),
+            (np.zeros(4), np.zeros(4, dtype=int)),
+            (np.zeros((4, 2)), np.zeros(3, dtype=int)),
+            (np.zeros((4, 2)), np.zeros(4)),
+        ],
+        ids=["no_rows", "not_a_matrix", "one_label_short", "float_labels"],
+    )
+    def test_matrix_and_labels_checked(self, x, y):
+        with pytest.raises(ValueError, match="expected"):
+            train(x, y, num_classes=2, cfg=AdamConfig(seed=0))
 
     def test_standardization_stored_in_model(self):
         rng = np.random.default_rng(54)
         base = rng.random((30, 3)) * 100 + 50
-        samples = [(v, int(i % 2)) for i, v in enumerate(base)]
-        model, _ = train(samples, num_classes=2, cfg=AdamConfig(seed=3, epochs=2))
+        model, _ = train(base, np.arange(30) % 2, num_classes=2, cfg=AdamConfig(seed=3, epochs=2))
         assert model.feature_mean.shape == (3,)
         assert np.all(model.feature_scale > 0)
         assert model.feature_mean.mean() > 10  # picked up the raw offset
 
     def test_best_epoch_is_earliest_max(self):
-        samples = two_clusters(seed=55)
-        _, log = train(samples, num_classes=2, cfg=AdamConfig(seed=5, epochs=12))
+        x, y = two_clusters(seed=55)
+        _, log = train(x, y, num_classes=2, cfg=AdamConfig(seed=5, epochs=12))
         accs = log.val_accuracy
         assert accs[log.best_epoch - 1] == max(accs)
         assert log.best_epoch - 1 == accs.index(max(accs))
@@ -118,12 +128,13 @@ class TestTrain:
         """Adam updates the weights in place, so the kept parameters must be
         a copy: they equal a run stopped at the best epoch, bit for bit."""
         rng = np.random.default_rng(2)
-        samples = [(rng.standard_normal(4) + c * 0.6, c) for c in (0, 1, 2) for _ in range(12)]
+        y = np.repeat([0, 1, 2], 12)
+        x = np.array([rng.standard_normal(4) + c * 0.6 for c in y])
         cfg = AdamConfig(seed=2, epochs=30, learning_rate=0.05)
-        model, log = train(samples, num_classes=3, cfg=cfg)
+        model, log = train(x, y, num_classes=3, cfg=cfg)
         assert 1 <= log.best_epoch < cfg.epochs
         short = AdamConfig(seed=2, epochs=log.best_epoch, learning_rate=0.05)
-        stopped, _ = train(samples, num_classes=3, cfg=short)
+        stopped, _ = train(x, y, num_classes=3, cfg=short)
         np.testing.assert_array_equal(model.weights, stopped.weights)
         np.testing.assert_array_equal(model.bias, stopped.bias)
 
@@ -259,9 +270,9 @@ class TestPooling:
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        samples = two_clusters(seed=59)
+        x, y = two_clusters(seed=59)
         cfg = AdamConfig(seed=2, epochs=5)
-        model, _ = train(samples, num_classes=2, cfg=cfg)
+        model, _ = train(x, y, num_classes=2, cfg=cfg)
         save_model(model, tmp_path / "m", cfg=cfg, extra={"stream": "motion"})
         back, sidecar = load_model(tmp_path / "m")
         assert sidecar["stream"] == "motion"
@@ -269,5 +280,4 @@ class TestSerialization:
         np.testing.assert_allclose(back.weights, model.weights, atol=1e-6)
         np.testing.assert_array_equal(back.feature_mean, model.feature_mean)
         # float32 weight storage: predictions agree to quantization error
-        x = samples[0][0]
-        np.testing.assert_allclose(predict(back, x), predict(model, x), atol=1e-5)
+        np.testing.assert_allclose(predict(back, x[0]), predict(model, x[0]), atol=1e-5)

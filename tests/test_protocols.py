@@ -55,8 +55,8 @@ def sweep(corpus):
         test_rows = [row[i] for i in test_ids]
         scores = {}
         for stream, matrix in features.items():
-            samples = list(zip(matrix[train_rows], labels[train_rows]))
-            model, _ = learn.train(samples, num_classes, learn.AdamConfig(), val_fraction=0.2)
+            model, _ = learn.train(matrix[train_rows], labels[train_rows], num_classes,
+                                   learn.AdamConfig(), val_fraction=0.2)
             scores[stream] = learn.predict(model, matrix[test_rows])
         report = fusion_eval.evaluate(scores, labels[test_rows])
         results[split] = report, len(test_rows)
