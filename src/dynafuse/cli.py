@@ -304,6 +304,8 @@ def cmd_train(args) -> Path:
         batch_size=args.batch_size,
         seed=args.seed,
     )
+    if not 0 <= args.val_fraction < 1:  # learn.train checks it too, after every video is read
+        raise ValueError(f"val_fraction must lie in [0, 1), got {args.val_fraction}")
     feature_cfg = {
         "k": args.k,
         "roi_side": args.roi_side,

@@ -189,7 +189,7 @@ def train(
     if np.any(y < 0) or np.any(y >= num_classes):
         raise ValueError("class ids must lie in [0, num_classes)")
     if not 0 <= val_fraction < 1:
-        raise ValueError("val_fraction must lie in [0, 1)")
+        raise ValueError(f"val_fraction must lie in [0, 1), got {val_fraction}")
     dim = x.shape[1]
     n = x.shape[0]
 
@@ -337,7 +337,10 @@ def load_model(directory) -> tuple[LinearModel, dict]:
     """Read a model directory back; returns (model, sidecar dict)."""
     directory = Path(directory)
     path = directory / "model.json"
-    sidecar = json.loads(path.read_text())
+    try:
+        sidecar = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"model file {path} is not JSON: {exc}") from None
     required = {"num_classes": int, "dim": int, "feature_mean": list, "feature_scale": list}
     for key, kind in required.items():
         value = sidecar.get(key) if isinstance(sidecar, dict) else None

@@ -3,7 +3,11 @@
 An image is a plain float64 array of shape (C, H, W) with C in {1, 3}
 and intensities in [0, 1].  A ``VideoSequence`` is one read-only float64
 array of shape (n, C, H, W), decoded and validated once; its frames are
-the (C, H, W) slices of that array.
+the (C, H, W) slices of that array.  An array a caller hands in is
+scanned for NaN and infinity.  A video decoded from frame files is
+finite by construction, each value being an unsigned sample divided by
+a maxval of at least 1, so loading checks that recipe once per frame
+and never rescans the pixels.
 
 Two on-disk formats are supported:
 
@@ -36,6 +40,12 @@ _FORMAT_BY_MAGIC = {b"P5": "pgm", b"P6": "ppm"}
 _TENSOR_MAGIC = b"RPT1"
 
 
+def _require_finite(arr: np.ndarray, message: str) -> None:
+    """The one per-value scan: raise ValueError(message) on NaN or infinity."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(message)
+
+
 def _freeze(arr) -> np.ndarray:
     """``arr`` as a read-only C-contiguous float64 array.  A writeable
     array is copied rather than frozen, so the caller's array stays its
@@ -52,8 +62,11 @@ class VideoSequence:
     """Temporally ordered frames with class/subject/view metadata.
 
     ``data`` is one read-only float64 array of shape (n, C, H, W) with
-    n >= 1 and C in {1, 3}; a writeable array passed in is copied.  Frame
-    order is temporal order; formulas downstream index frames 1-based.
+    n >= 1, C in {1, 3} and every value finite; a writeable array passed
+    in is copied.  The constructor and ``from_frames`` scan every value of
+    a caller's array; ``video_from_frame_files`` builds its videos finite
+    by construction and skips that scan.  Frame order is temporal order;
+    formulas downstream index frames 1-based.
     """
 
     data: np.ndarray
@@ -62,6 +75,11 @@ class VideoSequence:
     view_id: int = 0
 
     def __post_init__(self):
+        self._check(scan=True)
+
+    def _check(self, scan: bool) -> None:
+        """Check the layout and the ids and store ``data`` read-only;
+        ``scan`` adds the per-value finiteness scan between the two."""
         data = _freeze(self.data)
         if data.ndim != 4:
             raise ValueError(f"video data must be 4-D (n, C, H, W), got ndim={data.ndim}")
@@ -72,12 +90,37 @@ class VideoSequence:
             raise ValueError(f"channels must be 1 or 3, got {c}")
         if h < 1 or w < 1:
             raise ValueError("frame dimensions must be positive")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("video data contains non-finite values")
+        if scan:
+            _require_finite(data, "video data contains non-finite values")
         for name in ("class_id", "subject_id", "view_id"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         object.__setattr__(self, "data", data)
+
+    @classmethod
+    def _decoded(
+        cls, data: np.ndarray, samples: Sequence, class_id: int, subject_id: int, view_id: int
+    ) -> "VideoSequence":
+        """A video whose frame ``data[i]`` holds unsigned-integer samples of
+        dtype ``samples[i][0]`` divided by ``samples[i][1]``.
+
+        Such a value is at most the sample range (a maxval is at least 1),
+        so it is finite.  The recipe is checked once per frame, in place of
+        the per-value scan; the layout and id checks are the constructor's.
+        """
+        if len(samples) != len(data):
+            raise ValueError(f"{len(samples)} sample records for {len(data)} frames")
+        for dtype, maxval in samples:
+            if np.dtype(dtype).kind != "u":
+                raise ValueError(f"decoded samples must be unsigned integers, got {dtype}")
+            if not (math.isfinite(maxval) and maxval >= 1):
+                raise ValueError(f"maxval must be finite and >= 1, got {maxval}")
+        video = object.__new__(cls)
+        fields = {"data": data, "class_id": class_id, "subject_id": subject_id, "view_id": view_id}
+        for name, value in fields.items():
+            object.__setattr__(video, name, value)
+        video._check(scan=False)
+        return video
 
     @classmethod
     def from_frames(cls, frames: Iterable, **meta) -> "VideoSequence":
@@ -121,8 +164,7 @@ class FeatureSequence:
             raise ValueError(f"vectors must be 2-D (N, d), got ndim={vectors.ndim}")
         if vectors.shape[1] < 1:
             raise ValueError("feature dimension must be >= 1")
-        if not np.all(np.isfinite(vectors)):
-            raise ValueError("feature vectors contain non-finite values")
+        _require_finite(vectors, "feature vectors contain non-finite values")
         object.__setattr__(self, "vectors", vectors)
 
     def __len__(self) -> int:
@@ -252,8 +294,7 @@ def write_frame(frame: np.ndarray, path, format: str, maxval: int = 255) -> None
             f"channel mismatch: {fmt} needs {want_channels} channels, "
             f"frame has {channels}"
         )
-    if not np.all(np.isfinite(data)):
-        raise ValueError("frame data contains non-finite values")
+    _require_finite(data, "frame data contains non-finite values")
     if maxval not in (255, 65535):
         raise ValueError("maxval must be 255 or 65535")
     header = f"{_MAGIC_BY_FORMAT[fmt].decode()}\n{width} {height}\n{maxval}\n"
@@ -278,8 +319,7 @@ def write_tensor(array: np.ndarray, metadata: dict | None, path) -> None:
     arr = np.ascontiguousarray(array, dtype=np.float32)
     if arr.ndim < 1 or any(d < 1 for d in arr.shape):
         raise ValueError(f"tensor must have rank >= 1 and positive dims, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor payload contains non-finite values")
+    _require_finite(arr, "tensor payload contains non-finite values")
     dims = np.asarray(arr.shape, dtype="<u4")
     rank = np.asarray([arr.ndim], dtype="<u4")
     parts = [_TENSOR_MAGIC, rank.tobytes(), dims.tobytes(), arr.astype("<f4").tobytes()]
@@ -289,8 +329,17 @@ def write_tensor(array: np.ndarray, metadata: dict | None, path) -> None:
 
 
 def read_tensor(path) -> tuple[np.ndarray, dict | None]:
-    """Read an RPT1 tensor file, returning (float32 array, metadata or None)."""
-    blob = Path(path).read_bytes()
+    """Read an RPT1 tensor file, returning (float32 array, metadata or None).
+
+    A malformed file raises ValueError with the path before the reason.
+    """
+    try:
+        return _parse_tensor(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_tensor(blob: bytes) -> tuple[np.ndarray, dict | None]:
     if blob[:4] != _TENSOR_MAGIC:
         raise ValueError(f"bad tensor magic {blob[:4]!r}, expected {_TENSOR_MAGIC!r}")
     if len(blob) < 8:
@@ -313,8 +362,7 @@ def read_tensor(path) -> tuple[np.ndarray, dict | None]:
         )
     arr = np.frombuffer(blob, dtype="<f4", count=count, offset=dims_end)
     arr = arr.reshape(dims).astype(np.float32)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor payload contains non-finite values")
+    _require_finite(arr, "tensor payload contains non-finite values")
     metadata = None
     trailer = blob[payload_end:]
     if trailer:
@@ -355,17 +403,28 @@ def video_from_frame_files(
     """Load an ordered list of P5/P6 files as one video.
 
     The (n, C, H, W) array is allocated from the first file's header and
-    each file is decoded straight into its slot; maxval is per file.
+    each file is decoded straight into its slot; maxval is per file.  The
+    values are finite by construction, so they are never scanned.  A file
+    that does not parse, or whose shape differs from the first file's,
+    raises ValueError with its path before the reason.
     """
     if not paths:
         raise ValueError("cannot build a video from zero frame files")
     data = None
+    samples = []
     for i, path in enumerate(paths):
-        raw, maxval = _decode(Path(path).read_bytes())
+        try:
+            raw, maxval = _decode(Path(path).read_bytes())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if data is None:
             data = np.empty((len(paths),) + raw.shape)
         elif raw.shape != data.shape[1:]:
-            raise ValueError("all frames of a sequence must share one shape")
+            raise ValueError(
+                f"{path}: frame shape {raw.shape} differs from {data.shape[1:]} "
+                f"of {paths[0]}; all frames of a sequence must share one shape"
+            )
         np.divide(np.ascontiguousarray(raw), float(maxval), out=data[i])
+        samples.append((raw.dtype, maxval))
     data.flags.writeable = False
-    return VideoSequence(data, class_id=class_id, subject_id=subject_id, view_id=view_id)
+    return VideoSequence._decoded(data, samples, class_id, subject_id, view_id)

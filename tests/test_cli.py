@@ -1,14 +1,19 @@
 """Subcommand wiring: exit codes, emitted files, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynafuse import cli, imgproc
 from dynafuse.learn import pool_features
@@ -95,6 +100,168 @@ class TestEncodeDi:
         raw, meta = read_tensor(out.with_suffix(".rpt1"))
         np.testing.assert_allclose(raw, 0.0, atol=1e-7)
         assert (out.with_suffix(".pgm")).exists()
+
+
+# encode-di's input surface: a valid three-frame pixmap directory and the
+# ways a frame directory can be broken.  Each mutation returns the path the
+# error must name, or None when the directory stays valid.
+def _header(blob: bytes) -> tuple[bytes, bytes]:
+    """Split a file written by write_frame into its three header lines and payload."""
+    end = 0
+    for _ in range(3):
+        end = blob.index(b"\n", end) + 1
+    return blob[:end], blob[end:]
+
+
+def _truncate(video, index, cut):
+    path = video / f"{index:04d}.ppm"
+    blob = path.read_bytes()
+    path.write_bytes(blob[: int(cut * len(blob))])
+    return path
+
+
+def _rewrite_header(header):
+    def mutate(video, index, cut):
+        path = video / f"{index:04d}.ppm"
+        path.write_bytes(header + _header(path.read_bytes())[1])
+        return path
+
+    return mutate
+
+
+def _comment(video, index, cut):
+    path = video / f"{index:04d}.ppm"
+    payload = _header(path.read_bytes())[1]
+    path.write_bytes(b"P6\n# a comment line\n5 4 # width height\n255\n" + payload)
+
+
+def _mixed_size(video, index, cut):
+    path = video / f"{index:04d}.ppm"
+    write_frame(np.zeros((3, 5, 4)), path, "ppm")
+    return path
+
+
+def _graymap_among_pixmaps(video, index, cut):
+    path = video / "0000.pgm"
+    write_frame(np.zeros((1, 4, 5)), path, "pgm")
+    return path
+
+
+def _empty(video, index, cut):
+    for path in video.iterdir():
+        path.unlink()
+    return video
+
+
+def _subdirectory(video, index, cut):
+    (video / "x.ppm").mkdir()
+    return video / "x.ppm"
+
+
+FRAME_DIR_MUTATIONS = {
+    "valid": lambda video, index, cut: None,
+    "truncated": _truncate,
+    "bad_magic": _rewrite_header(b"P3\n5 4\n255\n"),
+    "maxval_0": _rewrite_header(b"P6\n5 4\n0\n"),
+    "maxval_256": _rewrite_header(b"P6\n5 4\n256\n"),
+    "maxval_70000": _rewrite_header(b"P6\n5 4\n70000\n"),
+    "zero_width": _rewrite_header(b"P6\n0 4\n255\n"),
+    "comment": _comment,
+    "mixed_size": _mixed_size,
+    "graymap_among_pixmaps": _graymap_among_pixmaps,
+    "empty": _empty,
+    "subdirectory": _subdirectory,
+}
+
+
+class TestEncodeDiInputSurface:
+    @settings(max_examples=18, deadline=None, derandomize=True, database=None)
+    @given(
+        mutation=st.sampled_from(sorted(FRAME_DIR_MUTATIONS)),
+        index=st.integers(0, 2),
+        cut=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @example(mutation="valid", index=0, cut=0.0)
+    @example(mutation="truncated", index=2, cut=0.9)
+    @example(mutation="bad_magic", index=0, cut=0.0)
+    @example(mutation="maxval_0", index=1, cut=0.0)
+    @example(mutation="maxval_256", index=1, cut=0.0)
+    @example(mutation="maxval_70000", index=1, cut=0.0)
+    @example(mutation="zero_width", index=2, cut=0.0)
+    @example(mutation="comment", index=1, cut=0.0)
+    @example(mutation="mixed_size", index=0, cut=0.0)
+    @example(mutation="graymap_among_pixmaps", index=0, cut=0.0)
+    @example(mutation="empty", index=0, cut=0.0)
+    @example(mutation="subdirectory", index=0, cut=0.0)
+    def test_success_or_one_json_error(self, mutation, index, cut):
+        """A mutated frame directory either encodes, writing the tensor, the
+        display image and the config record, or exits 1 or 2 with one JSON
+        line that names the bad file (or the empty directory) and leaves
+        nothing behind."""
+        with tempfile.TemporaryDirectory() as tmp:
+            video, out_dir = Path(tmp) / "video", Path(tmp) / "out"
+            rng = np.random.default_rng(index)
+            make_video_dir(video, [rng.random((3, 4, 5)) for _ in range(3)], fmt="ppm")
+            bad = FRAME_DIR_MUTATIONS[mutation](video, index, cut)
+            out_dir.mkdir()
+            out = out_dir / "di"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(["encode-di", "--video", str(video), "--out", str(out)])
+            left = sorted(p.name for p in out_dir.iterdir())
+        err = stderr.getvalue()
+        if bad is None:
+            assert code == 0 and err == ""
+            assert left == ["di.ppm", "di.rpt1", "di.rpt1.config.json"]
+        else:
+            assert code in (1, 2)
+            assert "Traceback" not in err and len(err.splitlines()) == 1
+            assert str(bad) in json.loads(err)["message"]
+            assert left == []
+
+
+class TestErrorsNameTheFile:
+    def encode_di_case(self, tmp_path):
+        video = tmp_path / "video"
+        make_video_dir(video, [np.full((3, 32, 32), t / 16) for t in range(16)], fmt="ppm")
+        bad = video / "0007.ppm"
+        bad.write_bytes(bad.read_bytes()[:100])
+        out = tmp_path / "di"
+        return ["encode-di", "--video", str(video), "--out", str(out)], bad, out.with_suffix(".rpt1")
+
+    def rankpool_exact_case(self, tmp_path):
+        bad = tmp_path / "bad.rpt1"
+        write_feature_sequence(FeatureSequence(vectors=np.eye(3)), bad)
+        bad.write_bytes(bad.read_bytes()[:6])
+        out = tmp_path / "rank.json"
+        return ["rankpool-exact", "--features", str(bad), "--out", str(out)], bad, out
+
+    def predict_case(self, tmp_path):
+        corpus = tiny_corpus(tmp_path)
+        manifest = str(corpus / "manifest.json")
+        model = tmp_path / "model"
+        assert cli.main(["train", "--manifest", manifest, "--stream", "motion",
+                         "--train-views", "1,2", "--test-views", "3", "--epochs", "2",
+                         "--model-out", str(model)]) == 0
+        bad = model / "weights.rpt1"
+        bad.write_bytes(bad.read_bytes()[:-5])
+        out = tmp_path / "scores.csv"
+        return ["predict", "--model", str(model), "--manifest", manifest, "--out", str(out)], bad, out
+
+    @pytest.mark.parametrize("case", ["encode_di", "rankpool_exact", "predict"])
+    def test_truncated_input_is_named(self, tmp_path, capsys, case):
+        """A truncated frame, features file or weights file exits 1 with one
+        JSON line that names it, and writes no output or config record."""
+        argv, bad, out = getattr(self, f"{case}_case")(tmp_path)
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(f"{bad}: ")
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.config.json"))
 
 
 def depth_frames(n=6, side=24):
@@ -433,21 +600,27 @@ class TestModelFileChecks:
             lambda r: r["feature"].pop("on_silhouette"),
             lambda r: r["feature"].update(k=2.5),
             lambda r: r["feature"].update(on_silhouette="false"),
+            "{not json",
         ],
         ids=["no_dim", "string_num_classes", "bool_dim", "no_feature_mean",
              "protocol_without_train", "scalar_test_side", "depth_stream", "no_stream",
-             "no_feature", "feature_without_on_silhouette", "float_k", "string_on_silhouette"],
+             "no_feature", "feature_without_on_silhouette", "float_k", "string_on_silhouette",
+             "not_json"],
     )
     def test_bad_model_file_exits_1(self, trained, tmp_path, capsys, edit):
-        """A model.json that lacks or mistypes what predict reads is named in
-        a one-line JSON error before any sequence is scored."""
+        """A model.json that is not JSON, or lacks or mistypes what predict
+        reads, is named in a one-line JSON error before any sequence is
+        scored.  A string case is the whole text of the file."""
         corpus, model = trained
         broken = tmp_path / "model"
         shutil.copytree(model, broken)
         sidecar = broken / "model.json"
-        record = json.loads(sidecar.read_text())
-        edit(record)
-        sidecar.write_text(json.dumps(record))
+        if isinstance(edit, str):
+            sidecar.write_text(edit)
+        else:
+            record = json.loads(sidecar.read_text())
+            edit(record)
+            sidecar.write_text(json.dumps(record))
         capsys.readouterr()
         out = tmp_path / "scores.csv"
         code = cli.main(["predict", "--model", str(broken), "--manifest",
@@ -653,6 +826,25 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert err["message"].startswith(f"{flags[0][2:].replace('-', '_')} must be finite and > 0")
+        assert read == []
+        assert not model.exists()
+        assert not list(tmp_path.glob("*.config.json"))
+
+    @pytest.mark.parametrize("fraction", ["1.5", "-0.1", "nan"])
+    def test_bad_val_fraction_exit_1(self, tmp_path, capsys, monkeypatch, fraction):
+        """The validation fraction is checked before any video is read."""
+        corpus = tiny_corpus(tmp_path)
+        read = []
+        monkeypatch.setattr(cli, "_load_video_dir", lambda *args: read.append(args))
+        capsys.readouterr()
+        model = tmp_path / "model"
+        code = cli.main(["train", "--manifest", str(corpus / "manifest.json"), "--stream", "motion",
+                         "--train-views", "1,2", "--test-views", "3", "--epochs", "2",
+                         "--model-out", str(model), "--val-fraction", fraction])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("val_fraction must lie in [0, 1)")
         assert read == []
         assert not model.exists()
         assert not list(tmp_path.glob("*.config.json"))

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dynafuse import tensorio
 from dynafuse.tensorio import (
     FeatureSequence,
     VideoSequence,
@@ -130,6 +131,58 @@ class TestVideoSequence:
             VideoSequence.from_frames([*data, taller])
         with pytest.raises(ValueError):
             VideoSequence([*data, taller])
+
+
+class TestDecodedVideos:
+    """Decoded videos are finite by construction: the private constructor
+    checks the recipe once per frame, and only caller arrays are scanned."""
+
+    data = np.zeros((2, 1, 2, 2))
+    ids = {"class_id": 0, "subject_id": 0, "view_id": 0}
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ([(np.float64, 255)] * 2, "unsigned integers"),
+            ([(np.uint8, 255), (np.int16, 255)], "unsigned integers"),
+            ([(np.uint8, 0)] * 2, "maxval"),
+            ([(np.uint8, -255)] * 2, "maxval"),
+            ([(np.dtype("<u2"), float("nan"))] * 2, "maxval"),
+            ([(np.uint8, 255)], "sample records"),
+        ],
+        ids=["float", "signed", "maxval_0", "negative_maxval", "nan_maxval", "one_record"],
+    )
+    def test_constructor_checks_the_recipe(self, samples, message):
+        with pytest.raises(ValueError, match=message):
+            VideoSequence._decoded(self.data, samples, **self.ids)
+
+    def test_constructor_keeps_the_layout_and_id_checks(self):
+        samples = [(np.uint8, 255), (np.dtype("<u2"), 65535)]
+        video = VideoSequence._decoded(self.data, samples, **self.ids)
+        assert not video.data.flags.writeable and video.view_id == 0
+        with pytest.raises(ValueError, match="channels must be 1 or 3"):
+            VideoSequence._decoded(np.zeros((2, 2, 2, 2)), samples, **self.ids)
+        with pytest.raises(ValueError, match="view_id must be >= 0"):
+            VideoSequence._decoded(self.data, samples, **{**self.ids, "view_id": -1})
+
+    def test_only_caller_arrays_are_scanned(self, tmp_path, monkeypatch):
+        scanned = []
+        scan = tensorio._require_finite
+
+        def counting_scan(arr, message):
+            scanned.append(message)
+            scan(arr, message)
+
+        monkeypatch.setattr(tensorio, "_require_finite", counting_scan)
+        paths = [tmp_path / f"{t}.ppm" for t in range(3)]
+        for path in paths:
+            write_frame(np.full((3, 2, 2), 0.5), path, "ppm")
+        scanned.clear()
+        video = video_from_frame_files(paths)
+        assert scanned == []
+        VideoSequence(video.data.copy())
+        VideoSequence.from_frames(video.data)
+        assert scanned == ["video data contains non-finite values"] * 2
 
 
 def _blob(fmt: str, h: int, w: int, maxval: int, seed: int) -> bytes:
