@@ -171,8 +171,7 @@ def _read_scores_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
             scores.append([float(v) for v in row[2:]])
         except ValueError:
             raise ValueError(f"{where} has a non-numeric score") from None
-        if not np.all(np.isfinite(scores[-1])):
-            raise ValueError(f"{where} has a non-finite score")
+        tensorio._require_finite(scores[-1], f"{where} has a non-finite score")
         ids.append(row[0])
     return ids, np.asarray(labels), np.asarray(scores)
 

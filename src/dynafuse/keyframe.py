@@ -25,7 +25,7 @@ import dataclasses
 import numpy as np
 
 from . import imgproc
-from .tensorio import VideoSequence
+from .tensorio import VideoSequence, _require_finite
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,8 +90,7 @@ def select_keyframes(video: VideoSequence, k: int = 10) -> KeyframeStack:
     planes = _planes(video)
     n = len(planes)
     similarity = imgproc.consecutive_ssim(planes) if n >= 2 else np.empty(0)
-    if not np.isfinite(similarity).all():
-        raise ValueError("similarity values must be finite")
+    _require_finite(similarity, "similarity values must be finite")
     if k < 1:
         raise ValueError("k must be >= 1")
     ranking = np.argsort(similarity, kind="stable") + 1

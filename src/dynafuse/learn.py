@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensorio import read_tensor, write_tensor
+from .tensorio import _freeze, _require_finite, read_tensor, write_tensor
 
 
 @dataclass(frozen=True)
@@ -51,28 +51,17 @@ class LinearModel:
     feature_scale: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
-        mu = np.asarray(self.feature_mean, dtype=np.float64)
-        sd = np.asarray(self.feature_scale, dtype=np.float64)
-        if self.num_classes < 2 or self.dim < 1:
+        classes, dim = self.num_classes, self.dim
+        if classes < 2 or dim < 1:
             raise ValueError("need num_classes >= 2 and dim >= 1")
-        if w.shape != (self.num_classes, self.dim) or b.shape != (self.num_classes,):
+        for name in ("weights", "bias", "feature_mean", "feature_scale"):
+            arr = _freeze(getattr(self, name))
+            _require_finite(arr, f"{name} contains non-finite values")
+            object.__setattr__(self, name, arr)
+        if self.weights.shape != (classes, dim) or self.bias.shape != (classes,):
             raise ValueError("weight/bias shapes inconsistent with num_classes and dim")
-        if mu.shape != (self.dim,) or sd.shape != (self.dim,):
+        if self.feature_mean.shape != (dim,) or self.feature_scale.shape != (dim,):
             raise ValueError("standardization vectors must have shape (dim,)")
-        for name, arr in (("weights", w), ("bias", b), ("mean", mu), ("scale", sd)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
-        for key, arr in (
-            ("weights", w),
-            ("bias", b),
-            ("feature_mean", mu),
-            ("feature_scale", sd),
-        ):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, key, arr)
 
     @classmethod
     def zeros(cls, num_classes: int, dim: int) -> "LinearModel":
@@ -349,12 +338,15 @@ def load_model(directory) -> tuple[LinearModel, dict]:
                              f"{key!r}, got {value!r:.60}")
     weights, _ = read_tensor(directory / "weights.rpt1")
     bias, _ = read_tensor(directory / "bias.rpt1")
-    model = LinearModel(
-        weights=weights.astype(np.float64),
-        bias=bias.astype(np.float64).ravel(),
-        num_classes=sidecar["num_classes"],
-        dim=sidecar["dim"],
-        feature_mean=np.asarray(sidecar["feature_mean"], dtype=np.float64),
-        feature_scale=np.asarray(sidecar["feature_scale"], dtype=np.float64),
-    )
+    try:
+        model = LinearModel(
+            weights=weights,
+            bias=bias.ravel(),
+            num_classes=sidecar["num_classes"],
+            dim=sidecar["dim"],
+            feature_mean=sidecar["feature_mean"],
+            feature_scale=sidecar["feature_scale"],
+        )
+    except (TypeError, ValueError) as exc:  # TypeError: a JSON value no float converts
+        raise ValueError(f"model file {path} describes no usable model: {exc}") from None
     return model, sidecar

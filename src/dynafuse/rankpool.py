@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorio import FeatureSequence, VideoSequence
+from .tensorio import FeatureSequence, VideoSequence, _freeze, _require_finite
 
 # The exact solver holds a few (n, n) float64 arrays, 128 MiB each at this
 # many frames; longer sequences are rejected before any is allocated.
@@ -56,15 +56,14 @@ class ArpCoefficients:
     gamma: np.ndarray
 
     def __post_init__(self):
-        gamma = np.asarray(self.gamma, dtype=np.float64)
+        gamma = _freeze(self.gamma)
+        _require_finite(gamma, "coefficients contain non-finite values")
         if self.n < 1 or gamma.shape != (self.n,):
             raise ValueError(f"gamma must have shape ({self.n},)")
         if abs(gamma.sum()) > 1e-6 * self.n:
             raise ValueError("coefficients must sum to zero")
         if abs(gamma[-1] - (self.n - 1) / self.n) > 1e-9:
             raise ValueError("last coefficient must equal (n-1)/n")
-        gamma = gamma.copy()
-        gamma.flags.writeable = False
         object.__setattr__(self, "gamma", gamma)
 
 
@@ -79,15 +78,12 @@ class RankVector:
     converged: bool
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=np.float64)
-        if not np.all(np.isfinite(r)):
-            raise ValueError("rank vector contains non-finite values")
+        r = _freeze(self.r)
+        _require_finite(r, "rank vector contains non-finite values")
         if not math.isfinite(self.final_objective):
             raise ValueError("objective is not finite")
         if self.final_objective < 0:
             raise ValueError("objective cannot be negative")
-        r = r.copy()
-        r.flags.writeable = False
         object.__setattr__(self, "r", r)
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -91,19 +90,6 @@ def _subject_traits(cfg: SynthConfig, subject_id: int) -> _SubjectTraits:
     return _SubjectTraits(size=size, speed=speed, phase=phase, tint=tint)
 
 
-def _clamped_center(value: float, radius: float, axis: str) -> float:
-    lo, hi = radius, 1.0 - radius
-    if lo > hi:
-        warnings.warn(f"shape radius {radius:.3f} exceeds the frame; clamping", UserWarning)
-        return _CENTER
-    if value < lo or value > hi:
-        warnings.warn(
-            f"trajectory leaves the frame on the {axis} axis; clamping", UserWarning
-        )
-        return min(max(value, lo), hi)
-    return value
-
-
 def shape_at(cfg: SynthConfig, class_id: int, subject_id: int, t: int) -> ShapeSpec:
     """Canonical (pre-warp) ellipse of frame t, 0-based, for one class/subject."""
     return _shape(cfg, class_id, _subject_traits(cfg, subject_id), t)
@@ -118,7 +104,7 @@ def _shape(cfg: SynthConfig, class_id: int, traits: _SubjectTraits, t: int) -> S
         rx = _SLIDE_RX * traits.size
         ry = _SLIDE_RY * traits.size
         cx = _CENTER + _SLIDE_SPAN * traits.speed * (2.0 * tau - 1.0)
-        return ShapeSpec(cx=_clamped_center(cx, rx, "x"), cy=_CENTER, rx=rx, ry=ry)
+        return ShapeSpec(cx=cx, cy=_CENTER, rx=rx, ry=ry)
     if class_id == 1:
         # slides like class 0 while the aspect pulses: the shared
         # translation dominates the dynamic image (confusable with the
@@ -129,11 +115,11 @@ def _shape(cfg: SynthConfig, class_id: int, traits: _SubjectTraits, t: int) -> S
         rx = r0 * (1.0 + _PULSE_SWING * math.sin(theta))
         ry = r0 * (1.0 - _PULSE_SWING * math.sin(theta))
         cx = _CENTER + 0.8 * _SLIDE_SPAN * traits.speed * (2.0 * tau - 1.0)
-        return ShapeSpec(cx=_clamped_center(cx, rx, "x"), cy=_CENTER, rx=rx, ry=ry)
+        return ShapeSpec(cx=cx, cy=_CENTER, rx=rx, ry=ry)
     rx = _SLIDE_RX * traits.size
     ry = _SLIDE_RY * traits.size
     cy = _CENTER + _BOUNCE_SPAN * math.sin(2.0 * math.pi * 2.0 * traits.speed * tau)
-    return ShapeSpec(cx=_CENTER, cy=_clamped_center(cy, ry, "y"), rx=rx, ry=ry)
+    return ShapeSpec(cx=_CENTER, cy=cy, rx=rx, ry=ry)
 
 
 def view_affine(view_id: int) -> np.ndarray:

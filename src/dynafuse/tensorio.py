@@ -11,7 +11,8 @@ and never rescans the pixels.
 
 Two on-disk formats are supported:
 
-* binary portable graymap/pixmap (P5/P6) for single frames, and
+* binary portable graymap/pixmap (P5/P6) for single frames (each header
+  field: whitespace and ``#`` comments, then ``[0-9]+``), and
 * a small tensor container ("RPT1") for feature sequences, frame stacks
   and model weights: magic ``RPT1``, u32 rank, u32 dims, float32 payload
   in C order, optional trailing UTF-8 JSON metadata.  All multibyte
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -38,6 +40,9 @@ FORMAT_ALIASES = {
 _MAGIC_BY_FORMAT = {"pgm": b"P5", "ppm": b"P6"}
 _FORMAT_BY_MAGIC = {b"P5": "pgm", b"P6": "ppm"}
 _TENSOR_MAGIC = b"RPT1"
+_HEADER_SPACE = re.compile(rb"(?:[ \t\r\n]|#[^\n]*)*")
+_HEADER_INT = re.compile(rb"[0-9]+")
+_ID_FIELDS = ("class_id", "subject_id", "view_id")
 
 
 def _require_finite(arr: np.ndarray, message: str) -> None:
@@ -55,6 +60,14 @@ def _freeze(arr) -> np.ndarray:
         out = out.copy()
     out.flags.writeable = False
     return out
+
+
+def _check_ids(seq) -> None:
+    """The one sequence id check: each id an integer (not a bool) >= 0."""
+    for name in _ID_FIELDS:
+        value = getattr(seq, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise ValueError(f"{name} must be >= 0 and an integer, got {value!r:.60}")
 
 
 @dataclass(frozen=True)
@@ -92,9 +105,7 @@ class VideoSequence:
             raise ValueError("frame dimensions must be positive")
         if scan:
             _require_finite(data, "video data contains non-finite values")
-        for name in ("class_id", "subject_id", "view_id"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        _check_ids(self)
         object.__setattr__(self, "data", data)
 
     @classmethod
@@ -165,6 +176,7 @@ class FeatureSequence:
         if vectors.shape[1] < 1:
             raise ValueError("feature dimension must be >= 1")
         _require_finite(vectors, "feature vectors contain non-finite values")
+        _check_ids(self)
         object.__setattr__(self, "vectors", vectors)
 
     def __len__(self) -> int:
@@ -180,51 +192,14 @@ class FeatureSequence:
 # ---------------------------------------------------------------------------
 
 
-class _Tokenizer:
-    """Header tokenizer tracking byte offsets for error messages.
-
-    Whitespace separates tokens; '#' starts a comment running to end of
-    line, as in the netpbm family.
-    """
-
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def _skip_space(self) -> None:
-        while self.pos < len(self.blob):
-            b = self.blob[self.pos]
-            if b in b" \t\r\n":
-                self.pos += 1
-            elif b == ord("#"):
-                while self.pos < len(self.blob) and self.blob[self.pos] != ord("\n"):
-                    self.pos += 1
-            else:
-                return
-
-    def next_int(self, what: str) -> int:
-        self._skip_space()
-        start = self.pos
-        while self.pos < len(self.blob) and self.blob[self.pos : self.pos + 1].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ValueError(f"parse error at byte {start}: expected {what}")
-        return int(self.blob[start : self.pos])
-
-    def payload_start(self) -> int:
-        """Consume the single whitespace byte that terminates the header."""
-        if self.pos >= len(self.blob) or self.blob[self.pos] not in b" \t\r\n":
-            raise ValueError(
-                f"parse error at byte {self.pos}: expected whitespace before payload"
-            )
-        return self.pos + 1
-
-
 def _decode(blob: bytes, format: str | None = None) -> tuple[np.ndarray, int]:
     """Parse a binary P5 graymap or P6 pixmap.
 
-    Returns the integer samples as a (C, H, W) view of the interleaved
-    (H, W, C) payload, and the maxval they scale by.  ``format`` may name
+    After the magic, width, height and maxval are each read as
+    ``_HEADER_SPACE`` (whitespace and ``#`` comments) then ``_HEADER_INT``,
+    and one whitespace byte ends the header; a parse error gives its byte
+    offset.  Returns the integer samples as a (C, H, W) view of the
+    interleaved (H, W, C) payload, and the maxval they scale by.  ``format`` may name
     the expected format ('pgm'/'portable-graymap' or
     'ppm'/'portable-pixmap'); a mismatch with the file magic is a parse
     error.  With ``format=None`` the magic decides.
@@ -239,16 +214,22 @@ def _decode(blob: bytes, format: str | None = None) -> tuple[np.ndarray, int]:
             raise ValueError(f"unknown frame format {format!r}")
         if want != fmt:
             raise ValueError(f"parse error at byte 0: file is {fmt}, expected {want}")
-    tok = _Tokenizer(blob)
-    tok.pos = 2
-    width = tok.next_int("width")
-    height = tok.next_int("height")
-    maxval = tok.next_int("maxval")
+    pos, fields = 2, []
+    for what in ("width", "height", "maxval"):
+        pos = _HEADER_SPACE.match(blob, pos).end()
+        digits = _HEADER_INT.match(blob, pos)
+        if digits is None:
+            raise ValueError(f"parse error at byte {pos}: expected {what}")
+        fields.append(int(digits.group()))
+        pos = digits.end()
+    width, height, maxval = fields
     if width < 1 or height < 1:
         raise ValueError(f"parse error at byte 2: non-positive dimensions {width}x{height}")
     if maxval not in (255, 65535):
-        raise ValueError(f"parse error at byte {tok.pos}: maxval must be 255 or 65535")
-    start = tok.payload_start()
+        raise ValueError(f"parse error at byte {pos}: maxval must be 255 or 65535")
+    if pos >= len(blob) or blob[pos] not in b" \t\r\n":
+        raise ValueError(f"parse error at byte {pos}: expected whitespace before payload")
+    start = pos + 1
     channels = 1 if fmt == "pgm" else 3
     count = width * height * channels
     dtype = np.dtype(np.uint8) if maxval == 255 else np.dtype("<u2")
@@ -262,13 +243,23 @@ def _decode(blob: bytes, format: str | None = None) -> tuple[np.ndarray, int]:
     return raw.reshape(height, width, channels).transpose(2, 0, 1), maxval
 
 
+def _load_frame(path, format: str | None = None) -> tuple[np.ndarray, int]:
+    """Read and ``_decode`` one frame file; a parse error raises ValueError
+    with the path before the reason."""
+    try:
+        return _decode(Path(path).read_bytes(), format)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_frame(path, format: str | None = None) -> np.ndarray:
     """Read a binary P5 graymap or P6 pixmap into a read-only (C, H, W)
     float64 array of [0, 1] intensities.
 
-    ``format`` may name the expected format (see ``_decode``).
+    ``format`` may name the expected format (see ``_decode``).  A file
+    that does not parse raises ValueError with its path before the reason.
     """
-    raw, maxval = _decode(Path(path).read_bytes(), format)
+    raw, maxval = _load_frame(path, format)
     frame = np.ascontiguousarray(raw) / float(maxval)
     frame.flags.writeable = False
     return frame
@@ -384,17 +375,21 @@ def write_feature_sequence(seq: FeatureSequence, path) -> None:
 
 
 def read_feature_sequence(path) -> FeatureSequence:
-    """Read a rank-2 RPT1 file back into a FeatureSequence."""
+    """Read a rank-2 RPT1 file back into a FeatureSequence.
+
+    The metadata must be absent or a JSON object, and any id it holds an
+    integer >= 0; an id it lacks is 0.  A bad file raises ValueError with
+    the path before the reason.
+    """
     arr, meta = read_tensor(path)
-    if arr.ndim != 2:
-        raise ValueError(f"feature sequence must be rank 2, got rank {arr.ndim}")
-    meta = meta or {}
-    return FeatureSequence(
-        vectors=arr,
-        class_id=int(meta.get("class_id", 0)),
-        subject_id=int(meta.get("subject_id", 0)),
-        view_id=int(meta.get("view_id", 0)),
-    )
+    try:
+        if arr.ndim != 2:
+            raise ValueError(f"feature sequence must be rank 2, got rank {arr.ndim}")
+        if not isinstance(meta, (dict, type(None))):
+            raise ValueError(f"feature metadata must be a JSON object, got {meta!r:.60}")
+        return FeatureSequence(arr, **{k: v for k, v in (meta or {}).items() if k in _ID_FIELDS})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def video_from_frame_files(
@@ -413,10 +408,7 @@ def video_from_frame_files(
     data = None
     samples = []
     for i, path in enumerate(paths):
-        try:
-            raw, maxval = _decode(Path(path).read_bytes())
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        raw, maxval = _load_frame(path)
         if data is None:
             data = np.empty((len(paths),) + raw.shape)
         elif raw.shape != data.shape[1:]:

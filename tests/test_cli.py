@@ -23,6 +23,7 @@ from dynafuse.tensorio import (
     read_tensor,
     write_feature_sequence,
     write_frame,
+    write_tensor,
 )
 
 
@@ -100,6 +101,26 @@ class TestEncodeDi:
         raw, meta = read_tensor(out.with_suffix(".rpt1"))
         np.testing.assert_allclose(raw, 0.0, atol=1e-7)
         assert (out.with_suffix(".pgm")).exists()
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    """``cli.main`` with its output captured: (exit code, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stderr.getvalue()
+
+
+def _assert_success_or_one_json_error(code, err, bad, left, outputs):
+    """Exit 0 leaving the outputs and their config record, or exit 1 or 2
+    with one JSON line that names the bad file and nothing left behind."""
+    if code == 0:
+        assert err == "" and left == outputs
+    else:
+        assert code in (1, 2)
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert str(bad) in json.loads(err)["message"]
+        assert left == []
 
 
 # encode-di's input surface: a valid three-frame pixmap directory and the
@@ -204,20 +225,131 @@ class TestEncodeDiInputSurface:
             make_video_dir(video, [rng.random((3, 4, 5)) for _ in range(3)], fmt="ppm")
             bad = FRAME_DIR_MUTATIONS[mutation](video, index, cut)
             out_dir.mkdir()
-            out = out_dir / "di"
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main(["encode-di", "--video", str(video), "--out", str(out)])
+            code, err = _run_quietly(["encode-di", "--video", str(video),
+                                      "--out", str(out_dir / "di")])
             left = sorted(p.name for p in out_dir.iterdir())
-        err = stderr.getvalue()
-        if bad is None:
-            assert code == 0 and err == ""
-            assert left == ["di.ppm", "di.rpt1", "di.rpt1.config.json"]
-        else:
-            assert code in (1, 2)
-            assert "Traceback" not in err and len(err.splitlines()) == 1
-            assert str(bad) in json.loads(err)["message"]
-            assert left == []
+        assert (code == 0) == (bad is None)
+        _assert_success_or_one_json_error(code, err, bad, left,
+                                          ["di.ppm", "di.rpt1", "di.rpt1.config.json"])
+
+
+def _every_case(cases, **values):
+    """Run a property test on each named case once, besides the drawn ones."""
+    def apply(test):
+        for case in cases:
+            test = example(mutation=case, **values)(test)
+        return test
+
+    return apply
+
+
+# rankpool-exact's input surface: a valid 4x3 feature file and the ways it
+# can be broken, each mutation turning the drawn ``cut`` in [0, 1) into bytes.
+def _rpt1(dims, payload=None, trailer=b'{"class_id": 1, "subject_id": 2, "view_id": 3}'):
+    values = np.arange(np.prod(dims), dtype="<f4") / 7 if payload is None else payload
+    header = b"RPT1" + np.asarray([len(dims)], "<u4").tobytes() + np.asarray(dims, "<u4").tobytes()
+    return header + values.astype("<f4").tobytes() + trailer
+
+
+def _non_finite(value):
+    def mutate(cut):
+        payload = np.arange(12, dtype="<f4")
+        payload[int(cut * 12)] = value
+        return _rpt1([4, 3], payload)
+
+    return mutate
+
+
+FEATURE_FILE_MUTATIONS = {
+    "valid": lambda cut: _rpt1([4, 3]),
+    "truncated": lambda cut: _rpt1([4, 3])[: int(cut * len(_rpt1([4, 3])))],
+    "bad_magic": lambda cut: b"RPT2" + _rpt1([4, 3])[4:],
+    "rank_0": lambda cut: b"RPT1" + bytes(4),
+    "rank_3": lambda cut: _rpt1([2, 2, 3]),
+    "zero_dim": lambda cut: _rpt1([4, 0], np.zeros(0)),
+    "nan": _non_finite(np.nan),
+    "inf": _non_finite(-np.inf),
+    "null_id": lambda cut: _rpt1([4, 3], trailer=b'{"class_id": null}'),
+    "list_metadata": lambda cut: _rpt1([4, 3], trailer=b"[1, 2]"),
+    "string_id": lambda cut: _rpt1([4, 3], trailer=b'{"class_id": "x"}'),
+    "negative_id": lambda cut: _rpt1([4, 3], trailer=b'{"class_id": -3}'),
+    "float_id": lambda cut: _rpt1([4, 3], trailer=b'{"view_id": 1.5}'),
+    "not_utf8": lambda cut: _rpt1([4, 3], trailer=b'{"view_id": "\xff"}'),
+}
+
+
+class TestRankpoolExactInputSurface:
+    @settings(max_examples=26, deadline=None, derandomize=True, database=None)
+    @given(mutation=st.sampled_from(sorted(FEATURE_FILE_MUTATIONS)),
+           cut=st.floats(0.0, 1.0, exclude_max=True))
+    @_every_case(FEATURE_FILE_MUTATIONS, cut=0.5)
+    def test_success_or_one_json_error(self, mutation, cut):
+        """Only the valid file and a truncation that keeps the whole
+        payload can succeed; every other case is named in its error."""
+        with tempfile.TemporaryDirectory() as tmp:
+            feat, out_dir = Path(tmp) / "seq.rpt1", Path(tmp) / "out"
+            feat.write_bytes(FEATURE_FILE_MUTATIONS[mutation](cut))
+            out_dir.mkdir()
+            code, err = _run_quietly(["rankpool-exact", "--features", str(feat),
+                                      "--out", str(out_dir / "rank.json")])
+            left = sorted(p.name for p in out_dir.iterdir())
+        assert code != 0 or mutation in ("valid", "truncated")
+        _assert_success_or_one_json_error(code, err, feat, left,
+                                          ["rank.json", "rank.json.config.json"])
+
+
+# fuse's and eval's input surface: two agreeing score files, one of which a
+# mutation breaks at a drawn data row.
+_SCORE_ROWS = ["a,0,0.25,0.75", "b,1,0.6,0.4", "c,1,0.1,0.9"]
+
+
+def _score_row_edit(edit):
+    return lambda lines, row: lines[:row] + [edit(lines[row])] + lines[row + 1:]
+
+
+SCORE_FILE_MUTATIONS = {
+    "valid": lambda lines, row: lines,
+    "ragged": _score_row_edit(lambda line: line.rsplit(",", 1)[0]),
+    "non_integer_label": _score_row_edit(lambda line: line.replace(",", ",x", 1)),
+    "nan": _score_row_edit(lambda line: line.rsplit(",", 1)[0] + ",nan"),
+    "inf": _score_row_edit(lambda line: line.rsplit(",", 1)[0] + ",inf"),
+    "changed_header": lambda lines, row: ["id,label,score_0,score_1"] + lines[1:],
+    "empty": lambda lines, row: [],
+    "ids_disagree": _score_row_edit(lambda line: "z" + line),
+}
+
+
+class TestScoreFileInputSurface:
+    @pytest.mark.parametrize("command", ["fuse", "eval"])
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @given(mutation=st.sampled_from(sorted(SCORE_FILE_MUTATIONS)),
+           second=st.booleans(), row=st.integers(1, len(_SCORE_ROWS)))
+    @_every_case(SCORE_FILE_MUTATIONS, second=True, row=2)
+    def test_success_or_one_json_error(self, command, mutation, second, row):
+        """A broken score file, first or second on the command line, is
+        named in the one JSON error line and nothing is written."""
+        with tempfile.TemporaryDirectory() as tmp:
+            paths, out_dir = [Path(tmp) / "x.csv", Path(tmp) / "y.csv"], Path(tmp) / "out"
+            lines = ["sequence_id,label,score_0,score_1", *_SCORE_ROWS]
+            for path in paths:
+                path.write_text("\n".join(lines) + "\n")
+            bad = paths[int(second)]
+            mutated = SCORE_FILE_MUTATIONS[mutation](lines, row)
+            bad.write_text("".join(line + "\n" for line in mutated))
+            out_dir.mkdir()
+            if command == "fuse":
+                argv = ["fuse", "--scores", str(paths[0]), "--scores", str(paths[1]),
+                        "--out", str(out_dir / "fused.csv")]
+                outputs = ["fused.csv", "fused.csv.config.json"]
+            else:
+                argv = ["eval", "--scores", f"m={paths[0]}", "--scores", f"s={paths[1]}",
+                        "--report-out", str(out_dir / "report.json"),
+                        "--curves-out", str(out_dir / "curves")]
+                outputs = ["curves", "report.json", "report.json.config.json"]
+            code, err = _run_quietly(argv)
+            left = sorted(p.name for p in out_dir.iterdir())
+        assert code != 0 or mutation == "valid"
+        _assert_success_or_one_json_error(code, err, bad, left, outputs)
 
 
 class TestErrorsNameTheFile:
@@ -260,6 +392,18 @@ class TestErrorsNameTheFile:
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
         assert payload["message"].startswith(f"{bad}: ")
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.config.json"))
+
+    def test_swapped_weights_name_the_model_file(self, tmp_path, capsys):
+        """A valid weights tensor of the wrong shape is a model-file error."""
+        argv, bad, out = self.predict_case(tmp_path)
+        write_tensor(np.zeros((3, 5), np.float32), None, bad)
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert json.loads(err)["message"].startswith(f"model file {bad.parent / 'model.json'} ")
         assert not out.exists()
         assert not list(tmp_path.rglob("*.config.json"))
 
@@ -387,6 +531,32 @@ class TestRankpoolExactCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert f"{flags[0][2:].replace('-', '_')} must be" in err["message"]
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.config.json"))
+
+    @pytest.mark.parametrize(
+        "shape, metadata",
+        [
+            ((4, 3), {"class_id": None}),
+            ((4, 3), [1, 2]),
+            ((4, 3), {"class_id": "x"}),
+            ((2, 2, 3), {"class_id": 1}),
+            ((4, 3), {"class_id": -3}),
+            ((4, 3), {"view_id": 1.5}),
+        ],
+        ids=["null_id", "list_metadata", "string_id", "rank_3", "negative_id", "float_id"],
+    )
+    def test_bad_feature_file_is_named(self, tmp_path, capsys, shape, metadata):
+        """A features file of the wrong rank, or whose metadata is not an
+        object of integer ids >= 0, exits 1 with one JSON line that names it."""
+        feat = tmp_path / "seq.rpt1"
+        write_tensor(np.ones(shape, np.float32), metadata, feat)
+        out = tmp_path / "rank.json"
+        capsys.readouterr()
+        assert cli.main(["rankpool-exact", "--features", str(feat), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert json.loads(err)["message"].startswith(f"{feat}: ")
         assert not out.exists()
         assert not list(tmp_path.rglob("*.config.json"))
 
@@ -600,12 +770,16 @@ class TestModelFileChecks:
             lambda r: r["feature"].pop("on_silhouette"),
             lambda r: r["feature"].update(k=2.5),
             lambda r: r["feature"].update(on_silhouette="false"),
+            lambda r: r.update(dim=5),
+            lambda r: r["feature_mean"].pop(),
+            lambda r: r["feature_scale"].__setitem__(0, "x"),
+            lambda r: r.update(num_classes=1),
             "{not json",
         ],
         ids=["no_dim", "string_num_classes", "bool_dim", "no_feature_mean",
              "protocol_without_train", "scalar_test_side", "depth_stream", "no_stream",
              "no_feature", "feature_without_on_silhouette", "float_k", "string_on_silhouette",
-             "not_json"],
+             "dim_5", "short_feature_mean", "string_in_feature_scale", "one_class", "not_json"],
     )
     def test_bad_model_file_exits_1(self, trained, tmp_path, capsys, edit):
         """A model.json that is not JSON, or lacks or mistypes what predict

@@ -429,6 +429,15 @@ class TestExactRankPool:
             RankVector(r=np.zeros(1), lam=0.01, iterations=0,
                        final_objective=float("nan"), converged=True)
 
+    def test_pooling_records_reject_non_finite_arrays(self):
+        """A NaN passes the coefficients' sum and last-value checks; the
+        finiteness scan catches it, as it does in a rank vector."""
+        with pytest.raises(ValueError, match="non-finite"):
+            rankpool.ArpCoefficients(n=2, gamma=np.array([np.nan, 0.5]))
+        with pytest.raises(ValueError, match="non-finite"):
+            RankVector(r=np.array([np.inf]), lam=0.01, iterations=0,
+                       final_objective=0.0, converged=True)
+
 
 class TestArpFirstStep:
     def test_two_frame_hand_value(self):

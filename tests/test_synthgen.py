@@ -1,5 +1,7 @@
 """Corpus generator determinism, construction guarantees and the manifest."""
 
+import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 
 from dynafuse.synthgen import (
     SynthConfig,
-    _clamped_center,
+    _shape,
+    _subject_traits,
     corpus_manifest,
     generate,
     load_manifest,
@@ -66,14 +69,24 @@ class TestGenerate:
         assert not np.array_equal(pq.rgb.data[0], pl.rgb.data[0])
         np.testing.assert_array_equal(pq.depth.data[0], pl.depth.data[0])
 
-    def test_out_of_bounds_trajectory_clamps_with_warning(self):
-        """Default programs stay inside the frame; the clamp path guards
-        non-default geometry."""
-        with pytest.warns(UserWarning, match="clamp"):
-            clamped = _clamped_center(0.9, 0.2, "x")
-        assert clamped == 0.8
-        with pytest.warns(UserWarning, match="clamp"):
-            assert _clamped_center(0.5, 0.7, "y") == 0.5
+    def test_every_ellipse_lies_inside_the_frame(self):
+        """Subject traits lie in size [0.85, 1.15) and speed [0.8, 1.2), so
+        every canonical ellipse stays inside the unit frame by a margin:
+        class 0 has |cx - 1/2| <= 0.288 with rx <= 0.184 (margin 0.028),
+        class 1 |cx - 1/2| <= 0.2304 with rx <= 0.2168 (0.0528) and class 2
+        |cy - 1/2| <= 0.16 with ry <= 0.1265 (0.2135).  Checked over seeds
+        0-199, 8 subjects and every frame of 1, 2, 16 and 65-frame videos."""
+        margin = {0: 1.0, 1: 1.0, 2: 1.0}
+        for seed in range(200):
+            base = SynthConfig(seed=seed)
+            traits = [_subject_traits(base, s) for s in range(8)]
+            for n in (1, 2, 16, 65):
+                cfg = dataclasses.replace(base, frames_per_video=n)
+                for class_id, subject, t in itertools.product(range(3), traits, range(n)):
+                    e = _shape(cfg, class_id, subject, t)
+                    margin[class_id] = min(margin[class_id], e.cx - e.rx, 1 - e.cx - e.rx,
+                                           e.cy - e.ry, 1 - e.cy - e.ry)
+        assert margin[0] > 0.028 and margin[1] > 0.0528 and margin[2] > 0.2135
 
     def test_rgb_values_in_unit_range(self):
         cfg = SynthConfig(subjects=2, views=2, frames_per_video=4, noise_sigma=0.1, seed=6)

@@ -93,6 +93,16 @@ class TestVideoSequence:
         assert not video.data.flags.writeable and not features.vectors.flags.writeable
         assert VideoSequence(video.data).data is video.data
 
+    @pytest.mark.parametrize("cls, data", [(VideoSequence, np.zeros((1, 1, 2, 2))),
+                                           (FeatureSequence, np.zeros((2, 3)))])
+    @pytest.mark.parametrize("name, value", [("subject_id", True), ("view_id", 1.5),
+                                             ("view_id", "2")])
+    def test_ids_are_integers_at_least_0(self, cls, data, name, value):
+        """Both sequence types share one id check, which numpy integers pass."""
+        with pytest.raises(ValueError, match=f"{name} must be >= 0 and an integer"):
+            cls(data, **{name: value})
+        assert getattr(cls(data, **{name: np.int64(2)}), name) == 2
+
     def test_loader_rejects_mixed_shapes(self, tmp_path):
         write_frame(np.zeros((1, 2, 2)), tmp_path / "a.pgm", "pgm")
         write_frame(np.zeros((1, 3, 2)), tmp_path / "b.pgm", "pgm")
@@ -164,6 +174,8 @@ class TestDecodedVideos:
             VideoSequence._decoded(np.zeros((2, 2, 2, 2)), samples, **self.ids)
         with pytest.raises(ValueError, match="view_id must be >= 0"):
             VideoSequence._decoded(self.data, samples, **{**self.ids, "view_id": -1})
+        with pytest.raises(ValueError, match="class_id must be >= 0"):
+            FeatureSequence(np.zeros((2, 3)), class_id=-1)
 
     def test_only_caller_arrays_are_scanned(self, tmp_path, monkeypatch):
         scanned = []
@@ -279,6 +291,132 @@ class TestDecoderProperties:
         assert (frame is None) == (video is None)
 
 
+class _TokenizerReference:
+    """The header tokenizer that ``_decode`` used before its two patterns,
+    kept here as the reference the scan must agree with."""
+
+    def __init__(self, blob: bytes):
+        self.blob = blob
+        self.pos = 0
+
+    def _skip_space(self) -> None:
+        while self.pos < len(self.blob):
+            b = self.blob[self.pos]
+            if b in b" \t\r\n":
+                self.pos += 1
+            elif b == ord("#"):
+                while self.pos < len(self.blob) and self.blob[self.pos] != ord("\n"):
+                    self.pos += 1
+            else:
+                return
+
+    def next_int(self, what: str) -> int:
+        self._skip_space()
+        start = self.pos
+        while self.pos < len(self.blob) and self.blob[self.pos : self.pos + 1].isdigit():
+            self.pos += 1
+        if start == self.pos:
+            raise ValueError(f"parse error at byte {start}: expected {what}")
+        return int(self.blob[start : self.pos])
+
+    def payload_start(self) -> int:
+        if self.pos >= len(self.blob) or self.blob[self.pos] not in b" \t\r\n":
+            raise ValueError(
+                f"parse error at byte {self.pos}: expected whitespace before payload"
+            )
+        return self.pos + 1
+
+
+def _tokenizer_decode(blob: bytes, format=None):
+    """``_decode`` as it was with the tokenizer, line for line."""
+    magic = blob[:2]
+    if magic not in tensorio._FORMAT_BY_MAGIC:
+        raise ValueError(f"parse error at byte 0: bad magic {magic!r}, expected P5 or P6")
+    fmt = tensorio._FORMAT_BY_MAGIC[magic]
+    if format is not None:
+        want = tensorio.FORMAT_ALIASES.get(format)
+        if want is None:
+            raise ValueError(f"unknown frame format {format!r}")
+        if want != fmt:
+            raise ValueError(f"parse error at byte 0: file is {fmt}, expected {want}")
+    tok = _TokenizerReference(blob)
+    tok.pos = 2
+    width = tok.next_int("width")
+    height = tok.next_int("height")
+    maxval = tok.next_int("maxval")
+    if width < 1 or height < 1:
+        raise ValueError(f"parse error at byte 2: non-positive dimensions {width}x{height}")
+    if maxval not in (255, 65535):
+        raise ValueError(f"parse error at byte {tok.pos}: maxval must be 255 or 65535")
+    start = tok.payload_start()
+    channels = 1 if fmt == "pgm" else 3
+    count = width * height * channels
+    dtype = np.dtype(np.uint8) if maxval == 255 else np.dtype("<u2")
+    need = count * dtype.itemsize
+    have = len(blob) - start
+    if have < need:
+        raise ValueError(
+            f"parse error at byte {len(blob)}: payload truncated ({have} of {need} bytes)"
+        )
+    raw = np.frombuffer(blob, dtype=dtype, count=count, offset=start)
+    return raw.reshape(height, width, channels).transpose(2, 0, 1), maxval
+
+
+def _decoded(decode, blob: bytes, format):
+    """What one decoder makes of a blob: the samples and maxval, or the message."""
+    try:
+        raw, maxval = decode(blob, format)
+    except ValueError as exc:
+        return "error", str(exc)
+    return raw.shape, raw.dtype.str, raw.tobytes(), maxval
+
+
+_HEADER_GAPS = st.lists(
+    st.one_of(
+        st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\r\n"]),
+        st.builds(
+            lambda text, end: b"#" + text.replace(b"\n", b"") + end,
+            st.binary(max_size=6),
+            st.sampled_from([b"\n", b"\r\n", b""]),
+        ),
+    ),
+    max_size=3,
+).map(b"".join)
+
+
+@st.composite
+def pnm_headers(draw):
+    """A graymap/pixmap blob with comments, CR/LF/tab gaps, missing fields,
+    a junk insert and a payload near the size its header asks for."""
+    magic = draw(st.sampled_from([b"P5", b"P6", b"P3", b"P"]))
+    width, height = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    maxval = draw(st.sampled_from([255, 65535, 0, 256]))
+    blob = magic
+    for value in [width, height, maxval][: draw(st.integers(0, 3))]:
+        blob += draw(_HEADER_GAPS) + draw(st.sampled_from([b"", b"0"])) + str(value).encode()
+    blob += draw(st.sampled_from([b" ", b"\t", b"\r", b"\n", b"", b"x", b"#"]))
+    need = width * height * (3 if magic == b"P6" else 1) * (2 if maxval > 255 else 1)
+    blob += draw(st.binary(min_size=max(need - 2, 0), max_size=need + 2))
+    at = draw(st.integers(0, len(blob)))
+    return blob[:at] + draw(st.binary(max_size=2)) + blob[at:]
+
+
+class TestHeaderScan:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        blob=pnm_headers(),
+        format=st.sampled_from([None, "pgm", "ppm", "portable-pixmap", "tiff"]),
+    )
+    @example(blob=b"P5 #c\n\t1\r\n1#x\n255\n\x7f", format=None)
+    @example(blob=b"P6\n1 1\n65535\n" + bytes(6), format="ppm")
+    @example(blob=b"P5\n1 1\n255#", format=None)
+    @example(blob=b"P5\n2 x\n255\n", format=None)
+    def test_scan_matches_the_tokenizer_it_replaced(self, blob, format):
+        """Both parses give the same samples and maxval, or the same message
+        with the same byte offset."""
+        assert _decoded(tensorio._decode, blob, format) == _decoded(_tokenizer_decode, blob, format)
+
+
 class TestGraymapPixmap:
     def test_p5_known_bytes(self, tmp_path):
         """P5 2x2 maxval 255 with bytes [0, 255, 128, 64] scales linearly."""
@@ -302,6 +440,16 @@ class TestGraymapPixmap:
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255]))
         with pytest.raises(ValueError, match="truncated"):
             read_frame(path)
+
+    def test_parse_errors_name_the_file(self, tmp_path):
+        """read_frame and video loading report a bad frame alike: its path,
+        then the reason with its byte offset."""
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255]))
+        for read in (lambda: read_frame(path), lambda: video_from_frame_files([path])):
+            with pytest.raises(ValueError) as info:
+                read()
+            assert str(info.value) == f"{path}: parse error at byte 13: payload truncated (2 of 4 bytes)"
 
     def test_bad_magic_names_offset(self, tmp_path):
         path = tmp_path / "f.pgm"
