@@ -140,7 +140,7 @@ def _recorded_test_side(entries: list[dict], sidecar: dict, path: Path) -> list[
 
 
 def _write_scores_csv(path, ids, labels, scores: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["sequence_id", "label"] + [f"score_{c}" for c in range(scores.shape[1])]
@@ -150,9 +150,12 @@ def _write_scores_csv(path, ids, labels, scores: np.ndarray) -> None:
 
 
 def _read_scores_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader]
+    except UnicodeDecodeError:
+        raise ValueError(f"score file {path} is not UTF-8 text") from None
     if len(rows) < 2:
         raise ValueError(f"score file {path} has no data rows")
     header = rows[0][1]
@@ -257,8 +260,7 @@ def cmd_encode_di(args) -> Path:
         },
         out.with_suffix(".rpt1"),
     )
-    fmt = "ppm" if di.frame.shape[0] == 3 else "pgm"
-    tensorio.write_frame(di.frame, out.with_suffix("." + fmt), fmt)
+    tensorio.write_frame(di.frame, out.with_suffix(".ppm" if di.frame.shape[0] == 3 else ".pgm"))
     print(f"dynamic image -> {out.with_suffix('.rpt1')}")
     return out.with_suffix(".rpt1")
 

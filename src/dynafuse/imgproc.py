@@ -16,7 +16,8 @@ The stabilizers follow the reference convention for unit dynamic range
 (radius 5, sigma 1.5).
 
 Every function works on whole videos: ``silhouette`` opens and closes
-(..., H, W) foreground masks with shifted boolean slices,
+(..., H, W) foreground masks with the 3x3 square, applied as a row of
+three shifted boolean slices and then a column of three,
 ``largest_component`` labels every frame of an (n, H, W) stack in one
 ``ndimage.label`` call, ``roi_resize`` lerps each source row along x
 once before lerping along y, and ``consecutive_ssim`` computes each
@@ -49,7 +50,6 @@ class SsimResult:
     local_map: np.ndarray
 
 
-_SQUARE3 = np.ones((3, 3), dtype=bool)
 # 8-connectivity inside each (H, W) frame of an (n, H, W) stack, no link through time
 _IN_FRAME_8 = np.zeros((3, 3, 3), dtype=bool)
 _IN_FRAME_8[1] = True
@@ -129,7 +129,10 @@ def _ssim_map(m1: tuple, m2: tuple) -> np.ndarray:
     lum = (2.0 * mu1 * mu2 + K1) / (mu1_sq + mu2_sq + K1)
     con = (2.0 * sig1 * sig2 + K2) / (var1 + var2 + K2)
     struct = (cov + K3) / (sig1 * sig2 + K3)
-    return lum**ALPHA * con**BETA * struct**GAMMA_EXP
+    # a negative intensity can make lum negative, and its square root NaN;
+    # that NaN is the result, which callers that need a finite index reject
+    with np.errstate(invalid="ignore"):
+        return lum**ALPHA * con**BETA * struct**GAMMA_EXP
 
 
 def ssim(f1, f2) -> SsimResult:
@@ -169,30 +172,17 @@ def consecutive_ssim(frames) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _morph(masks: np.ndarray, se: np.ndarray, erode: bool) -> np.ndarray:
-    """Erode (AND) or dilate (OR) boolean (..., H, W) masks by the square
-    boolean element ``se`` (odd side, at least one true cell).
-
-    Each true cell of the element contributes one shifted view of the
-    zero-padded masks, so pixels outside the image count as background;
-    dilation reflects the element, as the set definition does.
-    """
-    r = se.shape[0] // 2
+def _box3(masks: np.ndarray, erode: bool) -> np.ndarray:
+    """Erode (AND) or dilate (OR) boolean (..., H, W) masks by the 3x3
+    square, pixels outside the image counting as background.  The square
+    is a row of three times a column of three, so three shifted slices of
+    the zero-padded masks along x, then three along y, give it exactly."""
     h, w = masks.shape[-2:]
-    padded = np.zeros(masks.shape[:-2] + (h + 2 * r, w + 2 * r), dtype=bool)
-    padded[..., r : r + h, r : r + w] = masks
-    sign = 1 if erode else -1
-    out = None
-    for dy, dx in np.argwhere(se) - r:
-        y, x = r + sign * dy, r + sign * dx
-        view = padded[..., y : y + h, x : x + w]
-        if out is None:
-            out = view.copy()
-        elif erode:
-            out &= view
-        else:
-            out |= view
-    return out
+    padded = np.zeros(masks.shape[:-2] + (h + 2, w + 2), dtype=bool)
+    padded[..., 1:-1, 1:-1] = masks
+    op = np.logical_and if erode else np.logical_or
+    rows = op(op(padded[..., :-2], padded[..., 1:-1]), padded[..., 2:])
+    return op(op(rows[..., :-2, :], rows[..., 1:-1, :]), rows[..., 2:, :])
 
 
 def silhouette(depth) -> np.ndarray:
@@ -201,8 +191,8 @@ def silhouette(depth) -> np.ndarray:
     depth = np.asarray(depth)
     if depth.ndim < 2:
         raise ValueError(f"expected (..., H, W) planes, got ndim={depth.ndim}")
-    m = _morph(_morph(depth > 0.0, _SQUARE3, True), _SQUARE3, False)
-    return _morph(_morph(m, _SQUARE3, False), _SQUARE3, True)
+    m = _box3(_box3(depth > 0.0, erode=True), erode=False)
+    return _box3(_box3(m, erode=False), erode=True)
 
 
 def largest_component(masks) -> tuple[np.ndarray, np.ndarray]:
@@ -234,14 +224,14 @@ def largest_component(masks) -> tuple[np.ndarray, np.ndarray]:
 
 def _lerp_coords(n_src: int, side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Corner-aligned sample points along one axis: lower and upper source
-    index and the fraction between them."""
+    index and the fraction between them.  ``pos`` stays in [0, n_src - 1]
+    (the last point, (side - 1) * (n_src - 1) / (side - 1), is exact), so
+    its floor needs no clip; one source pixel gives 0.0 everywhere."""
     if side == 1:
         pos = np.array([(n_src - 1) / 2.0])
-    elif n_src == 1:
-        pos = np.zeros(side)
     else:
         pos = np.arange(side, dtype=np.float64) * (n_src - 1) / (side - 1)
-    i0 = np.clip(np.floor(pos).astype(int), 0, n_src - 1)
+    i0 = np.floor(pos).astype(int)
     return i0, np.minimum(i0 + 1, n_src - 1), pos - i0
 
 

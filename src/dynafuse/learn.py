@@ -336,6 +336,10 @@ def load_model(directory) -> tuple[LinearModel, dict]:
         if type(value) is not kind:  # not isinstance: a bool is no class count
             raise ValueError(f"model file {path} needs {'an integer' if kind is int else 'a list'} "
                              f"{key!r}, got {value!r:.60}")
+    for key in ("feature_mean", "feature_scale"):
+        for value in sidecar[key]:
+            if type(value) not in (int, float):  # not isinstance: a bool is no number
+                raise ValueError(f"model file {path} needs numbers in {key!r}, got {value!r:.60}")
     weights, _ = read_tensor(directory / "weights.rpt1")
     bias, _ = read_tensor(directory / "bias.rpt1")
     try:
@@ -347,6 +351,6 @@ def load_model(directory) -> tuple[LinearModel, dict]:
             feature_mean=sidecar["feature_mean"],
             feature_scale=sidecar["feature_scale"],
         )
-    except (TypeError, ValueError) as exc:  # TypeError: a JSON value no float converts
+    except (OverflowError, ValueError) as exc:  # OverflowError: an integer past float range
         raise ValueError(f"model file {path} describes no usable model: {exc}") from None
     return model, sidecar

@@ -232,9 +232,9 @@ def write_corpus(pairs: list[SequencePair], outdir, cfg: SynthConfig) -> dict:
         rgb_dir.mkdir(parents=True, exist_ok=True)
         depth_dir.mkdir(parents=True, exist_ok=True)
         for t, frame in enumerate(pair.rgb.data):
-            write_frame(frame, rgb_dir / f"{t:04d}.ppm", "ppm")
+            write_frame(frame, rgb_dir / f"{t:04d}.ppm")
         for t, frame in enumerate(pair.depth.data):
-            write_frame(frame, depth_dir / f"{t:04d}.pgm", "pgm")
+            write_frame(frame, depth_dir / f"{t:04d}.pgm")
     manifest = corpus_manifest(pairs, cfg, root=".")
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest

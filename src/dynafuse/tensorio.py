@@ -11,7 +11,9 @@ and never rescans the pixels.
 
 Two on-disk formats are supported:
 
-* binary portable graymap/pixmap (P5/P6) for single frames (each header
+* binary portable graymap/pixmap for single frames: P5 holds one
+  channel and P6 three, so the magic gives a file's channel count and the
+  channel count gives the magic a frame is written with (each header
   field: whitespace and ``#`` comments, then ``[0-9]+``), and
 * a small tensor container ("RPT1") for feature sequences, frame stacks
   and model weights: magic ``RPT1``, u32 rank, u32 dims, float32 payload
@@ -30,15 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-FORMAT_ALIASES = {
-    "pgm": "pgm",
-    "ppm": "ppm",
-    "portable-graymap": "pgm",
-    "portable-pixmap": "ppm",
-}
-
-_MAGIC_BY_FORMAT = {"pgm": b"P5", "ppm": b"P6"}
-_FORMAT_BY_MAGIC = {b"P5": "pgm", b"P6": "ppm"}
+_CHANNELS_BY_MAGIC = {b"P5": 1, b"P6": 3}
 _TENSOR_MAGIC = b"RPT1"
 _HEADER_SPACE = re.compile(rb"(?:[ \t\r\n]|#[^\n]*)*")
 _HEADER_INT = re.compile(rb"[0-9]+")
@@ -192,28 +186,19 @@ class FeatureSequence:
 # ---------------------------------------------------------------------------
 
 
-def _decode(blob: bytes, format: str | None = None) -> tuple[np.ndarray, int]:
+def _decode(blob: bytes) -> tuple[np.ndarray, int]:
     """Parse a binary P5 graymap or P6 pixmap.
 
     After the magic, width, height and maxval are each read as
     ``_HEADER_SPACE`` (whitespace and ``#`` comments) then ``_HEADER_INT``,
     and one whitespace byte ends the header; a parse error gives its byte
     offset.  Returns the integer samples as a (C, H, W) view of the
-    interleaved (H, W, C) payload, and the maxval they scale by.  ``format`` may name
-    the expected format ('pgm'/'portable-graymap' or
-    'ppm'/'portable-pixmap'); a mismatch with the file magic is a parse
-    error.  With ``format=None`` the magic decides.
+    interleaved (H, W, C) payload, C being 1 for P5 and 3 for P6, and the
+    maxval they scale by.
     """
     magic = blob[:2]
-    if magic not in _FORMAT_BY_MAGIC:
+    if magic not in _CHANNELS_BY_MAGIC:
         raise ValueError(f"parse error at byte 0: bad magic {magic!r}, expected P5 or P6")
-    fmt = _FORMAT_BY_MAGIC[magic]
-    if format is not None:
-        want = FORMAT_ALIASES.get(format)
-        if want is None:
-            raise ValueError(f"unknown frame format {format!r}")
-        if want != fmt:
-            raise ValueError(f"parse error at byte 0: file is {fmt}, expected {want}")
     pos, fields = 2, []
     for what in ("width", "height", "maxval"):
         pos = _HEADER_SPACE.match(blob, pos).end()
@@ -230,7 +215,7 @@ def _decode(blob: bytes, format: str | None = None) -> tuple[np.ndarray, int]:
     if pos >= len(blob) or blob[pos] not in b" \t\r\n":
         raise ValueError(f"parse error at byte {pos}: expected whitespace before payload")
     start = pos + 1
-    channels = 1 if fmt == "pgm" else 3
+    channels = _CHANNELS_BY_MAGIC[magic]
     count = width * height * channels
     dtype = np.dtype(np.uint8) if maxval == 255 else np.dtype("<u2")
     need = count * dtype.itemsize
@@ -243,52 +228,45 @@ def _decode(blob: bytes, format: str | None = None) -> tuple[np.ndarray, int]:
     return raw.reshape(height, width, channels).transpose(2, 0, 1), maxval
 
 
-def _load_frame(path, format: str | None = None) -> tuple[np.ndarray, int]:
+def _load_frame(path) -> tuple[np.ndarray, int]:
     """Read and ``_decode`` one frame file; a parse error raises ValueError
     with the path before the reason."""
     try:
-        return _decode(Path(path).read_bytes(), format)
+        return _decode(Path(path).read_bytes())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def read_frame(path, format: str | None = None) -> np.ndarray:
+def read_frame(path) -> np.ndarray:
     """Read a binary P5 graymap or P6 pixmap into a read-only (C, H, W)
-    float64 array of [0, 1] intensities.
+    float64 array of [0, 1] intensities, C being 1 for P5 and 3 for P6.
 
-    ``format`` may name the expected format (see ``_decode``).  A file
-    that does not parse raises ValueError with its path before the reason.
+    A file that does not parse raises ValueError with its path before the
+    reason.
     """
-    raw, maxval = _load_frame(path, format)
+    raw, maxval = _load_frame(path)
     frame = np.ascontiguousarray(raw) / float(maxval)
     frame.flags.writeable = False
     return frame
 
 
-def write_frame(frame: np.ndarray, path, format: str, maxval: int = 255) -> None:
-    """Write a (C, H, W) intensity array as binary P5/P6, quantizing to maxval steps.
+def write_frame(frame: np.ndarray, path, maxval: int = 255) -> None:
+    """Write a (C, H, W) intensity array as binary P5 (C = 1) or P6 (C = 3),
+    quantizing to maxval steps.
 
-    Raises ValueError, and writes nothing, unless the array is 3-D with no
-    empty dimension, its channel count fits the format and every value is
-    finite.
+    Raises ValueError, and writes nothing, unless the array is 3-D with 1
+    or 3 channels and no empty dimension and every value is finite.
     """
-    fmt = FORMAT_ALIASES.get(format)
-    if fmt is None:
-        raise ValueError(f"unknown frame format {format!r}")
     data = np.asarray(frame, dtype=np.float64)
-    if data.ndim != 3 or 0 in data.shape:
-        raise ValueError(f"expected a non-empty (C, H, W) image, got shape {data.shape}")
-    channels, height, width = data.shape
-    want_channels = 1 if fmt == "pgm" else 3
-    if channels != want_channels:
+    if data.ndim != 3 or data.shape[0] not in (1, 3) or 0 in data.shape:
         raise ValueError(
-            f"channel mismatch: {fmt} needs {want_channels} channels, "
-            f"frame has {channels}"
+            f"expected a non-empty (C, H, W) image with C 1 or 3, got shape {data.shape}"
         )
+    channels, height, width = data.shape
     _require_finite(data, "frame data contains non-finite values")
     if maxval not in (255, 65535):
         raise ValueError("maxval must be 255 or 65535")
-    header = f"{_MAGIC_BY_FORMAT[fmt].decode()}\n{width} {height}\n{maxval}\n"
+    header = f"{'P5' if channels == 1 else 'P6'}\n{width} {height}\n{maxval}\n"
     quant = np.clip(np.round(data * maxval), 0, maxval)
     dtype = np.uint8 if maxval == 255 else np.dtype("<u2")
     interleaved = quant.transpose(1, 2, 0).astype(dtype)

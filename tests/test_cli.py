@@ -30,7 +30,7 @@ from dynafuse.tensorio import (
 def make_video_dir(path, frames, fmt="pgm"):
     path.mkdir(parents=True, exist_ok=True)
     for t, frame in enumerate(frames):
-        write_frame(frame, path / f"{t:04d}.{fmt}", fmt)
+        write_frame(frame, path / f"{t:04d}.{fmt}")
 
 
 def small_pipeline(tmp_path, seed=3):
@@ -158,13 +158,13 @@ def _comment(video, index, cut):
 
 def _mixed_size(video, index, cut):
     path = video / f"{index:04d}.ppm"
-    write_frame(np.zeros((3, 5, 4)), path, "ppm")
+    write_frame(np.zeros((3, 5, 4)), path)
     return path
 
 
 def _graymap_among_pixmaps(video, index, cut):
     path = video / "0000.pgm"
-    write_frame(np.zeros((1, 4, 5)), path, "pgm")
+    write_frame(np.zeros((1, 4, 5)), path)
     return path
 
 
@@ -773,13 +773,19 @@ class TestModelFileChecks:
             lambda r: r.update(dim=5),
             lambda r: r["feature_mean"].pop(),
             lambda r: r["feature_scale"].__setitem__(0, "x"),
+            lambda r: r.update(feature_mean=["1e3"] + r["feature_mean"][1:],
+                               feature_scale=[str(v) for v in r["feature_scale"]]),
+            lambda r: r["feature_scale"].__setitem__(0, True),
+            lambda r: r["feature_mean"].__setitem__(0, 10**400),
             lambda r: r.update(num_classes=1),
             "{not json",
         ],
         ids=["no_dim", "string_num_classes", "bool_dim", "no_feature_mean",
              "protocol_without_train", "scalar_test_side", "depth_stream", "no_stream",
              "no_feature", "feature_without_on_silhouette", "float_k", "string_on_silhouette",
-             "dim_5", "short_feature_mean", "string_in_feature_scale", "one_class", "not_json"],
+             "dim_5", "short_feature_mean", "string_in_feature_scale",
+             "numeric_strings_in_feature_vectors", "bool_in_feature_scale",
+             "int_past_float_range_in_feature_mean", "one_class", "not_json"],
     )
     def test_bad_model_file_exits_1(self, trained, tmp_path, capsys, edit):
         """A model.json that is not JSON, or lacks or mistypes what predict
@@ -919,8 +925,7 @@ class TestManifestChecks:
 class TestConcatLengthMismatch:
     def blank_depth_frames(self, corpus, seq_id, count, side=32):
         for t in range(count):
-            write_frame(np.zeros((1, side, side)),
-                        corpus / seq_id / "depth" / f"{t:04d}.pgm", "pgm")
+            write_frame(np.zeros((1, side, side)), corpus / seq_id / "depth" / f"{t:04d}.pgm")
 
     def test_short_sequence_is_named(self, tmp_path, capsys):
         """With --pool concat, a video that keeps fewer than k frames gives
@@ -1090,21 +1095,22 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "row, problem",
         [
-            ("b,1,nan,nan", "has a non-finite score"),
-            ("b,1,inf,0.0", "has a non-finite score"),
-            ("b,1,0.5", "has 3 fields, but its header has 4"),
-            ("b,1.0,0.5,0.5", "has a non-integer label '1.0'"),
+            (b"b,1,nan,nan", "line 3 has a non-finite score"),
+            (b"b,1,inf,0.0", "line 3 has a non-finite score"),
+            (b"b,1,0.5", "line 3 has 3 fields, but its header has 4"),
+            (b"b,1.0,0.5,0.5", "line 3 has a non-integer label '1.0'"),
+            (b"\xff,1,0.5,0.5", "is not UTF-8 text"),
         ],
-        ids=["nan", "inf", "ragged", "non_integer_label"],
+        ids=["nan", "inf", "ragged", "non_integer_label", "not_utf8"],
     )
     def test_bad_score_row_exits_1(self, tmp_path, capsys, command, row, problem):
-        """A bad row is an error naming the file and its line, whichever
-        position the file takes."""
-        header = "sequence_id,label,score_0,score_1\n"
+        """A bad row, or a byte that is not UTF-8, is an error naming the
+        file (and the line of a bad row), whichever position the file takes."""
+        header = b"sequence_id,label,score_0,score_1\n"
         good = tmp_path / "good.csv"
-        good.write_text(header + "a,0,0.25,0.75\nb,1,0.6,0.4\n")
+        good.write_bytes(header + b"a,0,0.25,0.75\nb,1,0.6,0.4\n")
         bad = tmp_path / "bad.csv"
-        bad.write_text(header + "a,0,0.25,0.75\n" + row + "\n")
+        bad.write_bytes(header + b"a,0,0.25,0.75\n" + row + b"\n")
         out = tmp_path / "out"
         if command == "fuse":
             argv = ["fuse", "--scores", str(good), "--scores", str(bad), "--out", str(out)]
@@ -1115,7 +1121,7 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         payload = json.loads(err)
-        assert payload == {"error": "ValueError", "message": f"score file {bad} line 3 {problem}"}
+        assert payload == {"error": "ValueError", "message": f"score file {bad} {problem}"}
         assert not out.exists() and not list(tmp_path.glob("*.config.json"))
 
     def test_eval_repeated_stream_name_exit_1(self, tmp_path, capsys):

@@ -165,6 +165,13 @@ class TestSelectKeyframes:
         with pytest.raises(ValueError, match="k must be >= 1"):
             select_keyframes(video, k=0)
 
+    def test_negative_intensities_give_the_finite_check(self):
+        """Frames of -1, 1, -1 make the luminance term negative; its square
+        root is NaN, which the similarity check refuses with no warning."""
+        video = make_video([np.full((12, 12), v) for v in (-1.0, 1.0, -1.0)])
+        with pytest.raises(ValueError, match="similarity values must be finite"):
+            select_keyframes(video, k=1)
+
 
 class TestKeyframeStack:
     def depth_video(self, n=12, side=24):
@@ -516,18 +523,17 @@ class TestWholeVideoRoutines:
         n=st.integers(1, 3),
         h=st.integers(1, 9),
         w=st.integers(1, 9),
-        side=st.sampled_from([3, 5, 7]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n=1, h=1, w=5, side=3, seed=0)
-    @example(n=2, h=2, w=1, side=5, seed=1)
-    def test_morphology_matches_scipy(self, n, h, w, side, seed):
+    @example(n=1, h=1, w=5, seed=0)
+    @example(n=2, h=2, w=1, seed=1)
+    def test_morphology_matches_scipy(self, n, h, w, seed):
+        """The 3x3 square's separable passes against scipy, frame by frame."""
         rng = np.random.default_rng(seed)
         masks = rng.random((n, h, w)) < rng.random()
-        se = rng.random((side, side)) < 0.6
-        se[side // 2, 0] = True  # never empty, often asymmetric
-        eroded = imgproc._morph(masks, se, erode=True)
-        dilated = imgproc._morph(masks, se, erode=False)
+        se = np.ones((3, 3), dtype=bool)
+        eroded = imgproc._box3(masks, erode=True)
+        dilated = imgproc._box3(masks, erode=False)
         for i in range(n):
             want_e = ndimage.binary_erosion(masks[i], structure=se, border_value=0)
             want_d = ndimage.binary_dilation(masks[i], structure=se, border_value=0)

@@ -187,7 +187,7 @@ class TestDynamicImage:
         n, c, h, w = 64, 3, 128, 128
         paths = [tmp_path / f"{t:04d}.ppm" for t in range(n)]
         for path in paths:
-            write_frame(rng.random((c, h, w)), path, "ppm")
+            write_frame(rng.random((c, h, w)), path)
         tracemalloc.start()
         try:
             raw = dynamic_image(video_from_frame_files(paths)).raw

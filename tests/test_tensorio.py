@@ -34,14 +34,14 @@ class TestFrameType:
         path = tmp_path / "x.pgm"
         for shape in [(2, 2), (1, 2, 2, 1), (0, 2, 2), (1, 0, 2), (1, 2, 0)]:
             with pytest.raises(ValueError, match="expected a non-empty"):
-                write_frame(np.zeros(shape), path, "pgm")
+                write_frame(np.zeros(shape), path)
             assert not path.exists()
 
     def test_channel_validation(self, tmp_path):
-        for fmt, channels in [("pgm", 2), ("pgm", 3), ("ppm", 1), ("ppm", 2)]:
-            path = tmp_path / f"x.{fmt}"
-            with pytest.raises(ValueError, match="channel mismatch"):
-                write_frame(np.zeros((channels, 2, 2)), path, fmt)
+        path = tmp_path / "x.pgm"
+        for channels in (2, 4):
+            with pytest.raises(ValueError, match="with C 1 or 3"):
+                write_frame(np.zeros((channels, 2, 2)), path)
             assert not path.exists()
         with pytest.raises(ValueError, match="channels must be 1 or 3"):
             VideoSequence(np.zeros((1, 2, 2, 2)))
@@ -52,13 +52,13 @@ class TestFrameType:
             data = np.zeros((1, 2, 2))
             data[0, 0, 0] = bad
             with pytest.raises(ValueError, match="non-finite"):
-                write_frame(data, path, "pgm")
+                write_frame(data, path)
             assert not path.exists()
             with pytest.raises(ValueError, match="non-finite"):
                 VideoSequence(data[None])
 
     def test_immutable_after_construction(self, tmp_path):
-        write_frame(np.zeros((1, 2, 2)), tmp_path / "x.pgm", "pgm")
+        write_frame(np.zeros((1, 2, 2)), tmp_path / "x.pgm")
         frame = read_frame(tmp_path / "x.pgm")
         with pytest.raises(ValueError):
             frame[0, 0, 0] = 1.0
@@ -104,8 +104,8 @@ class TestVideoSequence:
         assert getattr(cls(data, **{name: np.int64(2)}), name) == 2
 
     def test_loader_rejects_mixed_shapes(self, tmp_path):
-        write_frame(np.zeros((1, 2, 2)), tmp_path / "a.pgm", "pgm")
-        write_frame(np.zeros((1, 3, 2)), tmp_path / "b.pgm", "pgm")
+        write_frame(np.zeros((1, 2, 2)), tmp_path / "a.pgm")
+        write_frame(np.zeros((1, 3, 2)), tmp_path / "b.pgm")
         with pytest.raises(ValueError, match="share one shape"):
             video_from_frame_files([tmp_path / "a.pgm", tmp_path / "b.pgm"])
 
@@ -188,7 +188,7 @@ class TestDecodedVideos:
         monkeypatch.setattr(tensorio, "_require_finite", counting_scan)
         paths = [tmp_path / f"{t}.ppm" for t in range(3)]
         for path in paths:
-            write_frame(np.full((3, 2, 2), 0.5), path, "ppm")
+            write_frame(np.full((3, 2, 2), 0.5), path)
         scanned.clear()
         video = video_from_frame_files(paths)
         assert scanned == []
@@ -253,7 +253,7 @@ class TestDecoderProperties:
         with tempfile.TemporaryDirectory() as tmp:
             paths = [Path(tmp) / f"{t:04d}.{fmt}" for t in range(len(maxvals))]
             for path, maxval in zip(paths, maxvals):
-                write_frame(rng.random((channels, h, w)), path, fmt, maxval=maxval)
+                write_frame(rng.random((channels, h, w)), path, maxval=maxval)
             video = video_from_frame_files(paths)
             stacked = np.stack([read_frame(path) for path in paths])
         assert video.data.dtype == stacked.dtype == np.float64
@@ -327,18 +327,11 @@ class _TokenizerReference:
         return self.pos + 1
 
 
-def _tokenizer_decode(blob: bytes, format=None):
+def _tokenizer_decode(blob: bytes):
     """``_decode`` as it was with the tokenizer, line for line."""
     magic = blob[:2]
-    if magic not in tensorio._FORMAT_BY_MAGIC:
+    if magic not in (b"P5", b"P6"):
         raise ValueError(f"parse error at byte 0: bad magic {magic!r}, expected P5 or P6")
-    fmt = tensorio._FORMAT_BY_MAGIC[magic]
-    if format is not None:
-        want = tensorio.FORMAT_ALIASES.get(format)
-        if want is None:
-            raise ValueError(f"unknown frame format {format!r}")
-        if want != fmt:
-            raise ValueError(f"parse error at byte 0: file is {fmt}, expected {want}")
     tok = _TokenizerReference(blob)
     tok.pos = 2
     width = tok.next_int("width")
@@ -349,7 +342,7 @@ def _tokenizer_decode(blob: bytes, format=None):
     if maxval not in (255, 65535):
         raise ValueError(f"parse error at byte {tok.pos}: maxval must be 255 or 65535")
     start = tok.payload_start()
-    channels = 1 if fmt == "pgm" else 3
+    channels = 1 if magic == b"P5" else 3
     count = width * height * channels
     dtype = np.dtype(np.uint8) if maxval == 255 else np.dtype("<u2")
     need = count * dtype.itemsize
@@ -362,10 +355,10 @@ def _tokenizer_decode(blob: bytes, format=None):
     return raw.reshape(height, width, channels).transpose(2, 0, 1), maxval
 
 
-def _decoded(decode, blob: bytes, format):
+def _decoded(decode, blob: bytes):
     """What one decoder makes of a blob: the samples and maxval, or the message."""
     try:
-        raw, maxval = decode(blob, format)
+        raw, maxval = decode(blob)
     except ValueError as exc:
         return "error", str(exc)
     return raw.shape, raw.dtype.str, raw.tobytes(), maxval
@@ -403,18 +396,15 @@ def pnm_headers(draw):
 
 class TestHeaderScan:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(
-        blob=pnm_headers(),
-        format=st.sampled_from([None, "pgm", "ppm", "portable-pixmap", "tiff"]),
-    )
-    @example(blob=b"P5 #c\n\t1\r\n1#x\n255\n\x7f", format=None)
-    @example(blob=b"P6\n1 1\n65535\n" + bytes(6), format="ppm")
-    @example(blob=b"P5\n1 1\n255#", format=None)
-    @example(blob=b"P5\n2 x\n255\n", format=None)
-    def test_scan_matches_the_tokenizer_it_replaced(self, blob, format):
+    @given(blob=pnm_headers())
+    @example(blob=b"P5 #c\n\t1\r\n1#x\n255\n\x7f")
+    @example(blob=b"P6\n1 1\n65535\n" + bytes(6))
+    @example(blob=b"P5\n1 1\n255#")
+    @example(blob=b"P5\n2 x\n255\n")
+    def test_scan_matches_the_tokenizer_it_replaced(self, blob):
         """Both parses give the same samples and maxval, or the same message
         with the same byte offset."""
-        assert _decoded(tensorio._decode, blob, format) == _decoded(_tokenizer_decode, blob, format)
+        assert _decoded(tensorio._decode, blob) == _decoded(_tokenizer_decode, blob)
 
 
 class TestGraymapPixmap:
@@ -422,7 +412,7 @@ class TestGraymapPixmap:
         """P5 2x2 maxval 255 with bytes [0, 255, 128, 64] scales linearly."""
         path = tmp_path / "f.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]))
-        frame = read_frame(path, "portable-graymap")
+        frame = read_frame(path)
         assert frame.shape == (1, 2, 2)
         np.testing.assert_allclose(
             frame[0], [[0.0, 1.0], [128 / 255, 64 / 255]]
@@ -431,7 +421,7 @@ class TestGraymapPixmap:
     def test_p6_identity_pixel(self, tmp_path):
         path = tmp_path / "f.ppm"
         path.write_bytes(b"P6\n1 1\n255\n" + bytes([255, 0, 0]))
-        frame = read_frame(path, "portable-pixmap")
+        frame = read_frame(path)
         assert frame.shape == (3, 1, 1)
         np.testing.assert_allclose(frame.ravel(), [1.0, 0.0, 0.0])
 
@@ -469,34 +459,33 @@ class TestGraymapPixmap:
         for trial in range(20):
             frame = rng.random((1, 8, 8))
             path = tmp_path / f"t{trial}.pgm"
-            write_frame(frame, path, "pgm")
-            back = read_frame(path, "pgm")
+            write_frame(frame, path)
+            back = read_frame(path)
             assert np.abs(back - frame).max() <= 1 / 510
 
     def test_roundtrip_16bit(self, tmp_path):
         rng = np.random.default_rng(12)
         frame = rng.random((3, 6, 5))
         path = tmp_path / "t.ppm"
-        write_frame(frame, path, "ppm", maxval=65535)
-        back = read_frame(path, "ppm")
+        write_frame(frame, path, maxval=65535)
+        back = read_frame(path)
         assert np.abs(back - frame).max() <= 1 / (2 * 65535)
 
     def test_all_zero_roundtrips_exactly(self, tmp_path):
         frame = np.zeros((1, 4, 4))
         path = tmp_path / "z.pgm"
-        write_frame(frame, path, "portable-graymap")
+        write_frame(frame, path)
         back = read_frame(path)
         np.testing.assert_array_equal(back, frame)
 
-    def test_channel_mismatch(self, tmp_path):
-        with pytest.raises(ValueError, match="channel mismatch"):
-            write_frame(np.zeros((3, 4, 4)), tmp_path / "x.pgm", "pgm")
-
-    def test_format_mismatch_on_read(self, tmp_path):
-        path = tmp_path / "f.pgm"
-        write_frame(np.zeros((1, 4, 4)), path, "pgm")
-        with pytest.raises(ValueError, match="expected ppm"):
-            read_frame(path, "portable-pixmap")
+    def test_magic_follows_channel_count(self, tmp_path):
+        """One channel is written as P5 and three as P6, whatever the file is
+        called, and reading the file gives the channel count back."""
+        for channels, magic in [(1, b"P5"), (3, b"P6")]:
+            path = tmp_path / f"c{channels}.pnm"
+            write_frame(np.zeros((channels, 4, 4)), path)
+            assert path.read_bytes().startswith(magic + b"\n4 4\n255\n")
+            assert read_frame(path).shape == (channels, 4, 4)
 
 
 class TestTensorFormat:
