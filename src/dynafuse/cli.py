@@ -44,18 +44,12 @@ def _write_run_config(args: argparse.Namespace, anchor: Path) -> None:
     path.write_text(json.dumps(resolved, indent=2, sort_keys=True))
 
 
-def _load_video_dir(directory, entry=None) -> tensorio.VideoSequence:
+def _load_video_dir(directory) -> tensorio.VideoSequence:
     directory = Path(directory)
     files = sorted(directory.glob("*.pgm")) + sorted(directory.glob("*.ppm"))
     if not files:
         raise ValueError(f"no .pgm/.ppm frames found in {directory}")
-    meta = entry or {}
-    return tensorio.video_from_frame_files(
-        files,
-        class_id=int(meta.get("class_id", 0)),
-        subject_id=int(meta.get("subject_id", 0)),
-        view_id=int(meta.get("view_id", 0)),
-    )
+    return tensorio.video_from_frame_files(files)
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +68,10 @@ def _feature_matrix(root: Path, entries: list[dict], stream: str, feature_cfg: d
         elif key not in entry:
             raise ValueError(f"sequence {entry['id']!r} has no {key!r} in the manifest")
         elif stream == "motion":
-            frames = rankpool.dynamic_image(_load_video_dir(root / entry[key], entry)).raw[None]
+            frames = rankpool.dynamic_image(_load_video_dir(root / entry[key])).raw[None]
         else:
             frames = keyframe.keyframe_stack(
-                _load_video_dir(root / entry[key], entry),
+                _load_video_dir(root / entry[key]),
                 k=feature_cfg["k"],
                 side=feature_cfg["roi_side"],
                 on_silhouette=feature_cfg["on_silhouette"],
@@ -102,6 +96,17 @@ def _protocol_from_args(args) -> fusion_eval.SplitProtocol:
 
 # The feature settings a model records, by type (``type(v) is int`` rejects bools).
 _FEATURE_TYPES = {"k": int, "roi_side": int, "on_silhouette": bool, "pool": str}
+_POOLS = ("mean", "concat")
+
+
+def _check_feature_ranges(feature: dict, source: str) -> None:
+    """Range-check the feature settings that ``source`` (train's flags or a
+    model file) gives, so that a bad one is named before any video is read."""
+    for key in ("k", "roi_side"):
+        if feature[key] < 1:
+            raise ValueError(f"{source} needs a feature {key!r} >= 1, got {feature[key]}")
+    if feature["pool"] not in _POOLS:
+        raise ValueError(f"{source} needs a feature 'pool' in {_POOLS}, got {feature['pool']!r}")
 
 
 def _model_features(sidecar: dict, path: Path) -> tuple[str, dict]:
@@ -114,6 +119,7 @@ def _model_features(sidecar: dict, path: Path) -> tuple[str, dict]:
     ):
         raise ValueError(f"model file {path} needs a 'feature' block with integer 'k' and "
                          f"'roi_side', boolean 'on_silhouette' and string 'pool', got {feature!r}")
+    _check_feature_ranges(feature, f"model file {path}")
     return stream, feature
 
 
@@ -313,6 +319,7 @@ def cmd_train(args) -> Path:
         "on_silhouette": not args.on_raw,
         "pool": args.pool,
     }
+    _check_feature_ranges(feature_cfg, "train")
     features = _feature_matrix(root, entries, args.stream, feature_cfg)
     labels = [e["class_id"] for e in entries]
     model, log = learn.train(features, labels, num_classes, cfg, val_fraction=args.val_fraction)
@@ -464,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10, help="key frames per video (std stream)")
     p.add_argument("--roi-side", type=int, default=227, help="ROI side (std stream)")
     p.add_argument("--on-raw", action="store_true", help="std features from raw depth ROIs")
-    p.add_argument("--pool", choices=["mean", "concat"], default="mean",
+    p.add_argument("--pool", choices=_POOLS, default="mean",
                    help="key-frame pooling strategy (std stream)")
     p.add_argument("--model-out", required=True, help="model output directory")
     p.set_defaults(func=cmd_train)
@@ -509,23 +516,16 @@ def main(argv=None) -> int:
         return 2
 
 
-def run_synthetic_experiment(
-    workdir,
-    seed: int = 7,
-    train_views=(1, 2),
-    test_views=(3,),
-    roi_side: int = 64,
-    epochs: int = 80,
-) -> Path:
-    """Full pipeline on the synthetic corpus: synth, train both streams,
-    predict, and evaluate all three fusion modes.  Returns the report path.
+def run_synthetic_experiment(workdir, seed: int = 7, roi_side: int = 64, epochs: int = 80) -> Path:
+    """Full pipeline on the synthetic corpus: synth, train both streams on
+    views 1 and 2, predict view 3, and evaluate all three fusion modes.
+    Returns the report path.
 
     Raises RuntimeError if any stage exits nonzero.
     """
     workdir = Path(workdir)
     corpus = workdir / "corpus"
-    tv = ",".join(str(v) for v in train_views)
-    sv = ",".join(str(v) for v in test_views)
+    tv, sv = "1,2", "3"
     stages = [
         ["synth", "--out", str(corpus), "--seed", str(seed)],
         [

@@ -64,7 +64,7 @@ def preprocess_video(
     With ``on_silhouette`` the ROI content is the binary mask itself;
     otherwise the raw depth values are cropped.  Frames whose silhouette
     comes out empty are dropped; their 1-based indices are returned
-    alongside the processed video.
+    alongside the processed video, whose ids are 0 like a loaded video's.
     """
     depth = _planes(video)
     masks, found = imgproc.largest_component(imgproc.silhouette(depth))
@@ -74,13 +74,7 @@ def preprocess_video(
     kept = np.flatnonzero(found)
     data = np.stack([imgproc.roi_resize(sources[i], masks[i], side) for i in kept])[:, None]
     data.flags.writeable = False
-    processed = VideoSequence(
-        data,
-        class_id=video.class_id,
-        subject_id=video.subject_id,
-        view_id=video.view_id,
-    )
-    return processed, [int(i) + 1 for i in np.flatnonzero(~found)]
+    return VideoSequence(data), [int(i) + 1 for i in np.flatnonzero(~found)]
 
 
 def select_keyframes(video: VideoSequence, k: int = 10) -> KeyframeStack:

@@ -301,10 +301,10 @@ def pool_features(vectors: np.ndarray, strategy: str = "mean") -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def save_model(
-    model: LinearModel, directory, cfg: AdamConfig | None = None, extra: dict | None = None
-) -> None:
-    """Write weights.rpt1, bias.rpt1 and model.json into ``directory``."""
+def save_model(model: LinearModel, directory, cfg: AdamConfig, extra: dict) -> None:
+    """Write weights.rpt1, bias.rpt1 and model.json (the model's sizes and
+    standardization, ``cfg`` under ``adam``, and the keys of ``extra``)
+    into ``directory``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_tensor(model.weights.astype(np.float32), None, directory / "weights.rpt1")
@@ -314,11 +314,9 @@ def save_model(
         "dim": model.dim,
         "feature_mean": model.feature_mean.tolist(),
         "feature_scale": model.feature_scale.tolist(),
+        "adam": asdict(cfg),
+        **extra,
     }
-    if cfg is not None:
-        sidecar["adam"] = asdict(cfg)
-    if extra:
-        sidecar.update(extra)
     (directory / "model.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
 
 
@@ -327,7 +325,7 @@ def load_model(directory) -> tuple[LinearModel, dict]:
     directory = Path(directory)
     path = directory / "model.json"
     try:
-        sidecar = json.loads(path.read_text())
+        sidecar = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ValueError(f"model file {path} is not JSON: {exc}") from None
     required = {"num_classes": int, "dim": int, "feature_mean": list, "feature_scale": list}

@@ -114,14 +114,12 @@ def dynamic_image(video: VideoSequence) -> DynamicImage:
     """Pool a video into its dynamic image."""
     gamma = arp_coefficients(len(video)).gamma
     raw = np.tensordot(gamma, video.data, axes=(0, 0))
-    display = np.empty_like(raw)
-    for c in range(raw.shape[0]):
-        lo = raw[c].min()
-        hi = raw[c].max()
-        if hi - lo < 1e-12:
-            display[c] = 0.5
-        else:
-            display[c] = (raw[c] - lo) / (hi - lo)
+    lo = raw.min(axis=(1, 2), keepdims=True)
+    span = raw.max(axis=(1, 2), keepdims=True) - lo
+    flat = span < 1e-12
+    display = raw - lo
+    display /= np.where(flat, 1.0, span)
+    display[flat[:, 0, 0]] = 0.5
     display.flags.writeable = False
     return DynamicImage(frame=display, raw=raw)
 

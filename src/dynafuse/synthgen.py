@@ -200,7 +200,7 @@ def generate(cfg: SynthConfig) -> list[SequencePair]:
     return pairs
 
 
-def corpus_manifest(pairs: list[SequencePair], cfg: SynthConfig, root: str | None = None) -> dict:
+def corpus_manifest(pairs: list[SequencePair], cfg: SynthConfig) -> dict:
     """Manifest dict listing every sequence with metadata and file locations."""
     sequences = []
     for pair in pairs:
@@ -215,7 +215,7 @@ def corpus_manifest(pairs: list[SequencePair], cfg: SynthConfig, root: str | Non
         }
         sequences.append(entry)
     manifest = {
-        "root": root or ".",
+        "root": ".",
         "config": asdict(cfg),
         "sequences": sequences,
     }
@@ -235,21 +235,24 @@ def write_corpus(pairs: list[SequencePair], outdir, cfg: SynthConfig) -> dict:
             write_frame(frame, rgb_dir / f"{t:04d}.ppm")
         for t, frame in enumerate(pair.depth.data):
             write_frame(frame, depth_dir / f"{t:04d}.pgm")
-    manifest = corpus_manifest(pairs, cfg, root=".")
+    manifest = corpus_manifest(pairs, cfg)
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
 
 
 def load_manifest(path) -> dict:
-    """Read a manifest and check each entry once: a unique string ``id``,
-    ``class_id``, ``subject_id`` and ``view_id`` integers >= 0, and string
-    paths under ``rgb_dir``, ``depth_dir`` and ``std_features`` if given."""
+    """Read a manifest whose ``root``, if given, is a string, and check each
+    entry once: a unique string ``id``, ``class_id``, ``subject_id`` and
+    ``view_id`` integers >= 0, and string paths under ``rgb_dir``,
+    ``depth_dir`` and ``std_features`` if given."""
     try:
-        manifest = json.loads(Path(path).read_text())
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ValueError(f"manifest {path} is not JSON: {exc}") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("sequences"), list):
         raise ValueError(f"manifest {path} has no 'sequences' list")
+    if not isinstance(manifest.get("root", "."), str):
+        raise ValueError(f"manifest {path} needs a string 'root', got {manifest['root']!r:.60}")
     entries = manifest["sequences"]
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):

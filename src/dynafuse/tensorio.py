@@ -7,7 +7,8 @@ the (C, H, W) slices of that array.  An array a caller hands in is
 scanned for NaN and infinity.  A video decoded from frame files is
 finite by construction, each value being an unsigned sample divided by
 a maxval of at least 1, so loading checks that recipe once per frame
-and never rescans the pixels.
+and never rescans the pixels.  Its class, subject and view ids are 0:
+those come from the dataset manifest, not from the frames.
 
 Two on-disk formats are supported:
 
@@ -103,15 +104,13 @@ class VideoSequence:
         object.__setattr__(self, "data", data)
 
     @classmethod
-    def _decoded(
-        cls, data: np.ndarray, samples: Sequence, class_id: int, subject_id: int, view_id: int
-    ) -> "VideoSequence":
-        """A video whose frame ``data[i]`` holds unsigned-integer samples of
-        dtype ``samples[i][0]`` divided by ``samples[i][1]``.
+    def _decoded(cls, data: np.ndarray, samples: Sequence) -> "VideoSequence":
+        """A video, with ids 0, whose frame ``data[i]`` holds unsigned-integer
+        samples of dtype ``samples[i][0]`` divided by ``samples[i][1]``.
 
         Such a value is at most the sample range (a maxval is at least 1),
         so it is finite.  The recipe is checked once per frame, in place of
-        the per-value scan; the layout and id checks are the constructor's.
+        the per-value scan; the layout check is the constructor's.
         """
         if len(samples) != len(data):
             raise ValueError(f"{len(samples)} sample records for {len(data)} frames")
@@ -121,9 +120,9 @@ class VideoSequence:
             if not (math.isfinite(maxval) and maxval >= 1):
                 raise ValueError(f"maxval must be finite and >= 1, got {maxval}")
         video = object.__new__(cls)
-        fields = {"data": data, "class_id": class_id, "subject_id": subject_id, "view_id": view_id}
-        for name, value in fields.items():
-            object.__setattr__(video, name, value)
+        object.__setattr__(video, "data", data)
+        for name in _ID_FIELDS:
+            object.__setattr__(video, name, 0)
         video._check(scan=False)
         return video
 
@@ -141,10 +140,6 @@ class VideoSequence:
 
     def __len__(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def frame_shape(self) -> tuple[int, int, int]:
-        return self.data.shape[1:]
 
     @property
     def frames(self) -> np.ndarray:
@@ -175,10 +170,6 @@ class FeatureSequence:
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +361,8 @@ def read_feature_sequence(path) -> FeatureSequence:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def video_from_frame_files(
-    paths: Sequence, class_id: int = 0, subject_id: int = 0, view_id: int = 0
-) -> VideoSequence:
-    """Load an ordered list of P5/P6 files as one video.
+def video_from_frame_files(paths: Sequence) -> VideoSequence:
+    """Load an ordered list of P5/P6 files as one video with ids 0.
 
     The (n, C, H, W) array is allocated from the first file's header and
     each file is decoded straight into its slot; maxval is per file.  The
@@ -397,4 +386,4 @@ def video_from_frame_files(
         np.divide(np.ascontiguousarray(raw), float(maxval), out=data[i])
         samples.append((raw.dtype, maxval))
     data.flags.writeable = False
-    return VideoSequence._decoded(data, samples, class_id, subject_id, view_id)
+    return VideoSequence._decoded(data, samples)

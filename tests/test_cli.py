@@ -603,6 +603,40 @@ class TestModuleEntryPoint:
         assert not out.exists()
 
 
+class TestUtf8Inputs:
+    def test_json_inputs_are_utf8_in_an_ascii_locale(self, tmp_path):
+        """A manifest and a model.json holding non-ASCII text, written as
+        UTF-8 (RFC 8259), train and predict under the C locale with Python's
+        UTF-8 mode off, where the locale's encoding is ASCII."""
+        corpus = tiny_corpus(tmp_path)
+        manifest = corpus / "manifest.json"
+        record = json.loads(manifest.read_text())
+        for entry in record["sequences"]:
+            if entry["id"] in ("c0_s0_v1", "c0_s0_v3"):
+                entry["id"] += "_\u00e9"
+        manifest.write_text(json.dumps(record, ensure_ascii=False), encoding="utf-8")
+        model = tmp_path / "model"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "dynafuse", *argv], env=env,
+                                  cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+        done = run("train", "--manifest", str(manifest), "--stream", "motion",
+                   "--train-views", "1,2", "--test-views", "3", "--epochs", "2",
+                   "--model-out", str(model))
+        assert done.returncode == 0, done.stderr
+        sidecar = model / "model.json"
+        record = {**json.loads(sidecar.read_text()), "note": "\u00e9"}
+        sidecar.write_text(json.dumps(record, ensure_ascii=False), encoding="utf-8")
+        scores = tmp_path / "scores.csv"
+        done = run("predict", "--model", str(model), "--manifest", str(manifest),
+                   "--out", str(scores))
+        assert done.returncode == 0, done.stderr
+        assert "c0_s0_v3_\u00e9" in scores.read_text(encoding="utf-8")
+
+
 class TestColdStart:
     def test_motion_path_never_imports_scipy(self, tmp_path):
         """A fresh process runs the whole motion stream, fusion and eval
@@ -778,6 +812,9 @@ class TestModelFileChecks:
             lambda r: r["feature_scale"].__setitem__(0, True),
             lambda r: r["feature_mean"].__setitem__(0, 10**400),
             lambda r: r.update(num_classes=1),
+            lambda r: r["feature"].update(k=0),
+            lambda r: r["feature"].update(roi_side=0),
+            lambda r: r["feature"].update(pool="max"),
             "{not json",
         ],
         ids=["no_dim", "string_num_classes", "bool_dim", "no_feature_mean",
@@ -785,13 +822,16 @@ class TestModelFileChecks:
              "no_feature", "feature_without_on_silhouette", "float_k", "string_on_silhouette",
              "dim_5", "short_feature_mean", "string_in_feature_scale",
              "numeric_strings_in_feature_vectors", "bool_in_feature_scale",
-             "int_past_float_range_in_feature_mean", "one_class", "not_json"],
+             "int_past_float_range_in_feature_mean", "one_class", "k_0", "roi_side_0",
+             "pool_max", "not_json"],
     )
-    def test_bad_model_file_exits_1(self, trained, tmp_path, capsys, edit):
-        """A model.json that is not JSON, or lacks or mistypes what predict
-        reads, is named in a one-line JSON error before any sequence is
-        scored.  A string case is the whole text of the file."""
+    def test_bad_model_file_exits_1(self, trained, tmp_path, capsys, monkeypatch, edit):
+        """A model.json that is not JSON, or lacks, mistypes or puts out of
+        range what predict reads, is named in a one-line JSON error before
+        any video is read.  A string case is the whole text of the file."""
         corpus, model = trained
+        read = []
+        monkeypatch.setattr(cli, "_load_video_dir", lambda *args: read.append(args))
         broken = tmp_path / "model"
         shutil.copytree(model, broken)
         sidecar = broken / "model.json"
@@ -811,6 +851,7 @@ class TestModelFileChecks:
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
         assert payload["message"].startswith(f"model file {sidecar} ")
+        assert read == []
         assert not out.exists()
         assert not list(tmp_path.glob("*.config.json"))
 
@@ -845,6 +886,183 @@ class TestExternalFeatureHook:
         for entry, row in zip(entries, matrix):
             vectors = read_feature_sequence(corpus / entry["std_features"]).vectors
             np.testing.assert_array_equal(row, pool_features(vectors))
+
+
+# train's and predict's input surface: a tiny corpus whose std stream reads
+# one feature file per sequence, a model of each stream trained on it, and
+# the ways the manifest, a model.json and a feature file can be broken.  A
+# mutation edits a copy for the drawn stream and sequence and returns what
+# the error must name; its readers are the commands and streams that read
+# what it breaks, and a run that reads none of it succeeds.
+def _json_edit(where, edit):
+    def mutate(work, stream, seq_id):
+        path = where(work, stream)
+        record = json.loads(path.read_text())
+        edit(record, seq_id)
+        path.write_text(json.dumps(record))  # NaN and Infinity as JSON extensions
+        return path
+
+    return mutate
+
+
+def _manifest(work, stream):
+    return work / "corpus" / "manifest.json"
+
+
+def _model_json(work, stream):
+    return work / f"model_{stream}" / "model.json"
+
+
+def _entry_edit(edit):
+    """A manifest mutation of the drawn sequence's entry."""
+    def apply(record, seq_id):
+        entries = record["sequences"]
+        edit(next(e for e in entries if e["id"] == seq_id), entries)
+
+    return _json_edit(_manifest, apply)
+
+
+def _not_utf8(where):
+    def mutate(work, stream, seq_id):
+        path = where(work, stream)
+        path.write_bytes(path.read_bytes().replace(b"{", b'{"note": "\xff", ', 1))
+        return path
+
+    return mutate
+
+
+def _feature_file(blob, named_by_id=False):
+    """Overwrite the drawn sequence's feature file, or delete it (``blob`` None)."""
+    def mutate(work, stream, seq_id):
+        path = work / "corpus" / "features" / f"{seq_id}.rpt1"
+        if blob is None:
+            path.unlink()
+        else:
+            path.write_bytes(blob)
+        return seq_id if named_by_id else path
+
+    return mutate
+
+
+def _duplicate_id(entry, entries):
+    entry["id"] = next(e["id"] for e in entries if e is not entry)
+
+
+TRAIN_PREDICT_MUTATIONS = {
+    "valid": (set(), lambda work, stream, seq_id: None),
+    "manifest_no_view_id": ({"train", "predict"}, _entry_edit(lambda e, _: e.pop("view_id"))),
+    "manifest_string_class_id": ({"train", "predict"},
+                                 _entry_edit(lambda e, _: e.update(class_id="1"))),
+    "manifest_nan_view_id": ({"train", "predict"},
+                             _entry_edit(lambda e, _: e.update(view_id=float("nan")))),
+    "manifest_inf_subject_id": ({"train", "predict"},
+                                _entry_edit(lambda e, _: e.update(subject_id=float("inf")))),
+    "manifest_duplicate_id": ({"train", "predict"}, _entry_edit(_duplicate_id)),
+    "manifest_number_as_path": ({"train", "predict"},
+                                _entry_edit(lambda e, _: e.update(std_features=3))),
+    "manifest_not_utf8": ({"train", "predict"}, _not_utf8(_manifest)),
+    "manifest_number_as_root": ({"train", "predict"}, _json_edit(
+        _manifest, lambda r, _: r.update(root=3))),
+    "manifest_zero_num_classes": ({"train"}, _json_edit(
+        _manifest, lambda r, _: r["config"].update(num_classes=0))),
+    "model_no_dim": ({"predict"}, _json_edit(_model_json, lambda r, _: r.pop("dim"))),
+    "model_string_num_classes": ({"predict"}, _json_edit(
+        _model_json, lambda r, _: r.update(num_classes="3"))),
+    "model_nan_mean": ({"predict"}, _json_edit(
+        _model_json, lambda r, _: r["feature_mean"].__setitem__(0, float("nan")))),
+    "model_inf_scale": ({"predict"}, _json_edit(
+        _model_json, lambda r, _: r["feature_scale"].__setitem__(0, float("inf")))),
+    "model_short_mean": ({"predict"}, _json_edit(
+        _model_json, lambda r, _: r["feature_mean"].pop())),
+    "model_feature_list": ({"predict"}, _json_edit(
+        _model_json, lambda r, _: r.update(feature=[]))),
+    "model_k_0": ({"predict"}, _json_edit(_model_json, lambda r, _: r["feature"].update(k=0))),
+    "model_roi_side_0": ({"predict"}, _json_edit(
+        _model_json, lambda r, _: r["feature"].update(roi_side=0))),
+    "model_pool_max": ({"predict"}, _json_edit(
+        _model_json, lambda r, _: r["feature"].update(pool="max"))),
+    "model_not_utf8": ({"predict"}, _not_utf8(_model_json)),
+    "features_nan": ({"std"}, _feature_file(_non_finite(np.nan)(0.5))),
+    "features_inf": ({"std"}, _feature_file(_non_finite(np.inf)(0.25))),
+    "features_ragged": ({"std"}, _feature_file(_rpt1([4, 2]), named_by_id=True)),
+    "features_rank_3": ({"std"}, _feature_file(_rpt1([2, 2, 3]))),
+    "features_truncated": ({"std"}, _feature_file(_rpt1([4, 3])[:20])),
+    "features_missing": ({"std"}, _feature_file(None)),
+}
+
+
+def _copy_linking_frames(src, dst):
+    """No mutation edits a frame, so frames are linked rather than copied."""
+    if src.endswith((".pgm", ".ppm")):
+        os.link(src, dst)
+    else:
+        shutil.copy2(src, dst)
+
+
+def _each_mutation_once(test):
+    """Run each mutation once with a command that reads what it breaks."""
+    for name, (readers, _) in TRAIN_PREDICT_MUTATIONS.items():
+        command = "train" if "train" in readers else "predict"
+        test = example(mutation=name, command=command, stream="std", row=0)(test)
+    return test
+
+
+class TestTrainPredictInputSurface:
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        """A 2-subject 16 px 4-frame corpus with a (4, 3) feature file per
+        sequence, and a motion and a std model trained on it; the copies an
+        example makes go beside it, on the same file system."""
+        base = tmp_path_factory.mktemp("train_predict") / "base"
+        corpus = tiny_corpus(base)
+        record = json.loads((corpus / "manifest.json").read_text())
+        (corpus / "features").mkdir()
+        rng = np.random.default_rng(5)
+        for entry in record["sequences"]:
+            entry["std_features"] = f"features/{entry['id']}.rpt1"
+            vectors = rng.random((4, 3)) + entry["class_id"]
+            write_feature_sequence(FeatureSequence(vectors=vectors), corpus / entry["std_features"])
+        (corpus / "manifest.json").write_text(json.dumps(record))
+        for stream in ("motion", "std"):
+            code, err = _run_quietly(["train", "--manifest", str(corpus / "manifest.json"),
+                                      "--stream", stream, "--train-views", "1,2",
+                                      "--test-views", "3", "--epochs", "2",
+                                      "--model-out", str(base / f"model_{stream}")])
+            assert code == 0, err
+        return base
+
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @given(mutation=st.sampled_from(sorted(TRAIN_PREDICT_MUTATIONS)),
+           command=st.sampled_from(["train", "predict"]),
+           stream=st.sampled_from(["motion", "std"]),
+           row=st.integers(0, 11))
+    @_each_mutation_once
+    def test_success_or_one_json_error(self, base, mutation, command, stream, row):
+        """A broken input that the run reads is named in the one JSON error
+        line, and nothing is written; a run that reads none of it succeeds."""
+        readers, mutate = TRAIN_PREDICT_MUTATIONS[mutation]
+        views = (1, 2) if command == "train" else (3,)
+        read_ids = [f"c{c}_s{s}_v{v}" for c in range(3) for s in range(2) for v in views]
+        with tempfile.TemporaryDirectory(dir=base.parent) as tmp:
+            work, out_dir = Path(tmp) / "work", Path(tmp) / "out"
+            shutil.copytree(base, work, copy_function=_copy_linking_frames)
+            bad = mutate(work, stream, read_ids[row % len(read_ids)])
+            out_dir.mkdir()
+            manifest = str(work / "corpus" / "manifest.json")
+            if command == "train":
+                argv = ["train", "--manifest", manifest, "--stream", stream,
+                        "--train-views", "1,2", "--test-views", "3", "--epochs", "2",
+                        "--model-out", str(out_dir / "model")]
+                outputs = ["model", "model/bias.rpt1", "model/model.json",
+                           "model/run-config.json", "model/weights.rpt1"]
+            else:
+                argv = ["predict", "--model", str(work / f"model_{stream}"),
+                        "--manifest", manifest, "--out", str(out_dir / "scores.csv")]
+                outputs = ["scores.csv", "scores.csv.config.json"]
+            code, err = _run_quietly(argv)
+            left = sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*"))
+        assert (code == 0) == (mutation == "valid" or not readers & {command, stream})
+        _assert_success_or_one_json_error(code, err, bad, left, outputs)
 
 
 class TestManifestChecks:
@@ -1027,6 +1245,29 @@ class TestErrorHandling:
         assert read == []
         assert not model.exists()
         assert not list(tmp_path.glob("*.config.json"))
+
+    @pytest.mark.parametrize("stream", ["motion", "std"])
+    @pytest.mark.parametrize("flags", [["--k", "0"], ["--roi-side", "0"], ["--k", "-3"]],
+                             ids=["k_0", "roi_side_0", "negative_k"])
+    def test_bad_feature_settings_exit_1(self, tmp_path, capsys, monkeypatch, stream, flags):
+        """The key-frame count and ROI side are checked before any video is
+        read, whichever stream is trained, so no model records them."""
+        corpus = tiny_corpus(tmp_path)
+        read = []
+        monkeypatch.setattr(cli, "_load_video_dir", lambda *args: read.append(args))
+        capsys.readouterr()
+        model = tmp_path / "model"
+        code = cli.main(["train", "--manifest", str(corpus / "manifest.json"), "--stream", stream,
+                         "--train-views", "1,2", "--test-views", "3", "--epochs", "2",
+                         "--model-out", str(model), *flags])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        key = flags[0][2:].replace("-", "_")
+        assert err["message"] == f"train needs a feature {key!r} >= 1, got {flags[1]}"
+        assert read == []
+        assert not model.exists()
+        assert not list(tmp_path.rglob("*.config.json"))
 
     @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
     def test_bad_noise_sigma_exit_1(self, tmp_path, capsys, sigma):

@@ -68,7 +68,7 @@ def exact_rank_pool_oracle(s: FeatureSequence, lam, step=0.1, max_iter=10_000, t
         hinge = np.maximum(1.0 - scores[t2_idx] + scores[t1_idx], 0.0).sum()
         return 0.5 * lam * float(r @ r) + pair_scale * float(hinge)
 
-    r = np.zeros(s.dim)
+    r = np.zeros(s.vectors.shape[1])
     obj = objective(r)
     iterations, converged, cur_step = 0, False, step
     for _ in range(max_iter):

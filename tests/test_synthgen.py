@@ -28,8 +28,8 @@ class TestGenerate:
         assert len(pairs) == 3 * 8 * 3
         for pair in pairs:
             assert len(pair.rgb) == 16 and len(pair.depth) == 16
-            assert pair.rgb.frame_shape == (3, 64, 64)
-            assert pair.depth.frame_shape == (1, 64, 64)
+            assert pair.rgb.data.shape[1:] == (3, 64, 64)
+            assert pair.depth.data.shape[1:] == (1, 64, 64)
 
     def test_determinism_bitwise(self):
         cfg = SynthConfig(num_classes=2, subjects=2, views=2, frames_per_video=4,

@@ -73,7 +73,7 @@ class TestVideoSequence:
         """``frames`` is ``data`` itself, read-only; stacking the buffers of
         its slices, as perfbench does, gives ``data`` back bit for bit."""
         video = VideoSequence(np.random.default_rng(1).random((3, 1, 4, 5)), view_id=2)
-        assert len(video) == 3 and video.frame_shape == (1, 4, 5)
+        assert len(video) == 3 and video.data.shape[1:] == (1, 4, 5)
         assert video.frames is video.data
         assert np.stack([f.data for f in video.frames]).tobytes() == video.data.tobytes()
         with pytest.raises(ValueError):
@@ -96,7 +96,7 @@ class TestVideoSequence:
     @pytest.mark.parametrize("cls, data", [(VideoSequence, np.zeros((1, 1, 2, 2))),
                                            (FeatureSequence, np.zeros((2, 3)))])
     @pytest.mark.parametrize("name, value", [("subject_id", True), ("view_id", 1.5),
-                                             ("view_id", "2")])
+                                             ("view_id", "2"), ("class_id", -1)])
     def test_ids_are_integers_at_least_0(self, cls, data, name, value):
         """Both sequence types share one id check, which numpy integers pass."""
         with pytest.raises(ValueError, match=f"{name} must be >= 0 and an integer"):
@@ -148,7 +148,6 @@ class TestDecodedVideos:
     checks the recipe once per frame, and only caller arrays are scanned."""
 
     data = np.zeros((2, 1, 2, 2))
-    ids = {"class_id": 0, "subject_id": 0, "view_id": 0}
 
     @pytest.mark.parametrize(
         "samples, message",
@@ -164,18 +163,15 @@ class TestDecodedVideos:
     )
     def test_constructor_checks_the_recipe(self, samples, message):
         with pytest.raises(ValueError, match=message):
-            VideoSequence._decoded(self.data, samples, **self.ids)
+            VideoSequence._decoded(self.data, samples)
 
-    def test_constructor_keeps_the_layout_and_id_checks(self):
+    def test_constructor_keeps_the_layout_check_and_gives_ids_0(self):
         samples = [(np.uint8, 255), (np.dtype("<u2"), 65535)]
-        video = VideoSequence._decoded(self.data, samples, **self.ids)
-        assert not video.data.flags.writeable and video.view_id == 0
+        video = VideoSequence._decoded(self.data, samples)
+        assert not video.data.flags.writeable
+        assert (video.class_id, video.subject_id, video.view_id) == (0, 0, 0)
         with pytest.raises(ValueError, match="channels must be 1 or 3"):
-            VideoSequence._decoded(np.zeros((2, 2, 2, 2)), samples, **self.ids)
-        with pytest.raises(ValueError, match="view_id must be >= 0"):
-            VideoSequence._decoded(self.data, samples, **{**self.ids, "view_id": -1})
-        with pytest.raises(ValueError, match="class_id must be >= 0"):
-            FeatureSequence(np.zeros((2, 3)), class_id=-1)
+            VideoSequence._decoded(np.zeros((2, 2, 2, 2)), samples)
 
     def test_only_caller_arrays_are_scanned(self, tmp_path, monkeypatch):
         scanned = []
