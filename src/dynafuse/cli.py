@@ -63,20 +63,24 @@ def _feature_matrix(root: Path, entries: list[dict], stream: str, feature_cfg: d
     key = "rgb_dir" if stream == "motion" else "depth_dir"
     rows = []
     for entry in entries:
-        if stream == "std" and "std_features" in entry:
-            frames = tensorio.read_feature_sequence(root / entry["std_features"]).vectors
-        elif key not in entry:
+        from_file = stream == "std" and "std_features" in entry
+        if not from_file and key not in entry:
             raise ValueError(f"sequence {entry['id']!r} has no {key!r} in the manifest")
-        elif stream == "motion":
-            frames = rankpool.dynamic_image(_load_video_dir(root / entry[key])).raw[None]
-        else:
-            frames = keyframe.keyframe_stack(
-                _load_video_dir(root / entry[key]),
-                k=feature_cfg["k"],
-                side=feature_cfg["roi_side"],
-                on_silhouette=feature_cfg["on_silhouette"],
-            ).frames
-        row = learn.pool_features(frames.reshape(len(frames), -1), strategy=feature_cfg["pool"])
+        try:
+            if from_file:
+                frames = tensorio.read_feature_sequence(root / entry["std_features"]).vectors
+            elif stream == "motion":
+                frames = rankpool.dynamic_image(_load_video_dir(root / entry[key])).raw[None]
+            else:
+                frames = keyframe.keyframe_stack(
+                    _load_video_dir(root / entry[key]),
+                    k=feature_cfg["k"],
+                    side=feature_cfg["roi_side"],
+                    on_silhouette=feature_cfg["on_silhouette"],
+                ).frames
+            row = learn.pool_features(frames.reshape(len(frames), -1), strategy=feature_cfg["pool"])
+        except ValueError as exc:
+            raise ValueError(f"sequence {entry['id']!r}: {exc}") from None
         if rows and len(row) != len(rows[0]):
             raise ValueError(f"sequence {entry['id']!r} has feature length {len(row)}, "
                              f"but {entries[0]['id']!r} has {len(rows[0])}")
@@ -218,9 +222,9 @@ def cmd_synth(args) -> Path:
         seed=args.seed,
     )
     outdir = Path(args.out)
-    pairs = synthgen.generate(cfg)
-    synthgen.write_corpus(pairs, outdir, cfg)
-    print(f"wrote {len(pairs)} sequence pairs to {outdir}")
+    corpus = synthgen.Corpus(cfg)
+    synthgen.write_corpus(corpus, outdir, cfg)
+    print(f"wrote {len(corpus)} sequence pairs to {outdir}")
     return outdir
 
 

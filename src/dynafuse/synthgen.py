@@ -14,13 +14,15 @@ plus Gaussian pixel noise; the depth-like twin is the clean binary
 silhouette.  Classes 0 and 2 share one ellipse, so silhouette key poses
 tell them apart poorly while their dynamic images differ strongly; the
 pulse class is the reverse, giving the two streams complementary
-strengths.
+strengths.  ``write_corpus`` holds one rendered pair of a ``Corpus`` at a
+time (2.1 MB at the default 64 px), never the whole corpus.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -54,6 +56,8 @@ class SynthConfig:
             raise ValueError("only 3 motion programs are defined")
         if not 0 <= self.noise_sigma < float("inf"):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -190,52 +194,59 @@ def _render_pair(cfg: SynthConfig, class_id: int, subject_id: int, view_id: int)
     )
 
 
+class Corpus(Sequence):
+    """All class x subject x view sequence pairs, class-major, fully determined
+    by the seed; pair ``i`` is rendered each time it is indexed and never kept."""
+
+    def __init__(self, cfg: SynthConfig):
+        self.cfg = cfg
+
+    def __len__(self) -> int:
+        return self.cfg.num_classes * self.cfg.subjects * self.cfg.views
+
+    def __getitem__(self, i: int) -> SequencePair:
+        class_id, rest = divmod(range(len(self))[i], self.cfg.subjects * self.cfg.views)
+        subject_id, view = divmod(rest, self.cfg.views)
+        return _render_pair(self.cfg, class_id, subject_id, view + 1)
+
+    def __iter__(self):
+        # unlike Sequence's own, keeps no reference to the pair it last gave
+        return map(self.__getitem__, range(len(self)))
+
+
 def generate(cfg: SynthConfig) -> list[SequencePair]:
-    """All class x subject x view sequence pairs, fully determined by the seed."""
-    pairs = []
-    for class_id in range(cfg.num_classes):
-        for subject_id in range(cfg.subjects):
-            for view_id in range(1, cfg.views + 1):
-                pairs.append(_render_pair(cfg, class_id, subject_id, view_id))
-    return pairs
+    """Every pair of ``Corpus(cfg)``, rendered at once."""
+    return list(Corpus(cfg))
 
 
-def corpus_manifest(pairs: list[SequencePair], cfg: SynthConfig) -> dict:
-    """Manifest dict listing every sequence with metadata and file locations."""
+def _write_pair(pair: SequencePair, outdir: Path) -> dict:
+    """Write one pair's frames and return its manifest entry."""
+    for video, kind, suffix in ((pair.rgb, "rgb", "ppm"), (pair.depth, "depth", "pgm")):
+        frame_dir = outdir / pair.seq_id / kind
+        frame_dir.mkdir(parents=True, exist_ok=True)
+        for t, frame in enumerate(video.data):
+            write_frame(frame, frame_dir / f"{t:04d}.{suffix}")
+    return {
+        "id": pair.seq_id,
+        "class_id": pair.rgb.class_id,
+        "subject_id": pair.rgb.subject_id,
+        "view_id": pair.rgb.view_id,
+        "num_frames": len(pair.rgb),
+        "rgb_dir": f"{pair.seq_id}/rgb",
+        "depth_dir": f"{pair.seq_id}/depth",
+    }
+
+
+def write_corpus(pairs: Iterable[SequencePair], outdir, cfg: SynthConfig) -> dict:
+    """Write each pair's frames as portable pixmaps/graymaps, then manifest.json.
+    ``pairs`` is iterated once, so a ``Corpus`` is written one rendered pair at a time."""
+    outdir = Path(outdir)
     sequences = []
     for pair in pairs:
-        entry = {
-            "id": pair.seq_id,
-            "class_id": pair.rgb.class_id,
-            "subject_id": pair.rgb.subject_id,
-            "view_id": pair.rgb.view_id,
-            "num_frames": len(pair.rgb),
-            "rgb_dir": f"{pair.seq_id}/rgb",
-            "depth_dir": f"{pair.seq_id}/depth",
-        }
-        sequences.append(entry)
-    manifest = {
-        "root": ".",
-        "config": asdict(cfg),
-        "sequences": sequences,
-    }
-    return manifest
-
-
-def write_corpus(pairs: list[SequencePair], outdir, cfg: SynthConfig) -> dict:
-    """Write frames as portable pixmaps/graymaps plus manifest.json."""
-    outdir = Path(outdir)
+        sequences.append(_write_pair(pair, outdir))
+        del pair  # not held while the next pair renders
+    manifest = {"root": ".", "config": asdict(cfg), "sequences": sequences}
     outdir.mkdir(parents=True, exist_ok=True)
-    for pair in pairs:
-        rgb_dir = outdir / pair.seq_id / "rgb"
-        depth_dir = outdir / pair.seq_id / "depth"
-        rgb_dir.mkdir(parents=True, exist_ok=True)
-        depth_dir.mkdir(parents=True, exist_ok=True)
-        for t, frame in enumerate(pair.rgb.data):
-            write_frame(frame, rgb_dir / f"{t:04d}.ppm")
-        for t, frame in enumerate(pair.depth.data):
-            write_frame(frame, depth_dir / f"{t:04d}.pgm")
-    manifest = corpus_manifest(pairs, cfg)
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
 

@@ -1185,10 +1185,10 @@ class TestErrorHandling:
         """A request too large for memory ends in the JSON error, not a
         traceback (the allocation is simulated, never made)."""
 
-        def too_large(cfg):
+        def too_large(cfg, class_id, subject_id, view_id):
             raise MemoryError("Unable to allocate 671. GiB for an array")
 
-        monkeypatch.setattr(cli.synthgen, "generate", too_large)
+        monkeypatch.setattr(cli.synthgen, "_render_pair", too_large)
         out = tmp_path / "corpus"
         assert cli.main(["synth", "--out", str(out), "--frame-side", "300000"]) == 1
         err = capsys.readouterr().err
@@ -1277,6 +1277,27 @@ class TestErrorHandling:
         assert err["error"] == "ValueError"
         assert err["message"].startswith("noise_sigma must be finite and >= 0")
         assert not out.exists()
+
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert cli.main(["synth", "--out", str(out), "--seed", "-1"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "seed must be >= 0, got -1"}
+        assert not out.exists()
+
+    def test_feature_error_names_the_sequence(self, tmp_path, capsys):
+        """A video whose frames yield no feature is named; the error it
+        raises keeps its text after the sequence id."""
+        corpus = tiny_corpus(tmp_path, side=1)
+        model = tmp_path / "model"
+        code = cli.main(["train", "--manifest", str(corpus / "manifest.json"), "--stream", "std",
+                         "--train-views", "1,2", "--test-views", "3", "--epochs", "2",
+                         "--model-out", str(model)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "sequence 'c0_s0_v1': all frames produced empty silhouettes"}
+        assert not model.exists()
 
     def test_unknown_flag_exit_1(self, tmp_path, capsys):
         """An unknown flag, including the similarity constants and the pair

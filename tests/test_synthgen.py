@@ -3,15 +3,17 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dynafuse import cli
 from dynafuse.synthgen import (
+    Corpus,
     SynthConfig,
     _shape,
     _subject_traits,
-    corpus_manifest,
     generate,
     load_manifest,
     rasterize,
@@ -95,18 +97,18 @@ class TestGenerate:
 
 
 class TestManifest:
-    def test_count_and_unique_ids(self):
+    def test_count_and_unique_ids(self, tmp_path):
         cfg = SynthConfig(subjects=2, views=2, frames_per_video=2, seed=1)
-        pairs = generate(cfg)
-        manifest = corpus_manifest(pairs, cfg)
-        assert len(manifest["sequences"]) == len(pairs)
+        manifest = write_corpus(Corpus(cfg), tmp_path, cfg)
+        assert len(manifest["sequences"]) == len(Corpus(cfg)) == 3 * 2 * 2
         ids = [e["id"] for e in manifest["sequences"]]
         assert len(ids) == len(set(ids))
 
-    def test_roundtrip_parse_identity(self):
+    def test_roundtrip_parse_identity(self, tmp_path):
         cfg = SynthConfig(subjects=1, views=2, frames_per_video=2, seed=1)
-        manifest = corpus_manifest(generate(cfg), cfg)
-        assert json.loads(json.dumps(manifest)) == manifest
+        manifest = write_corpus(Corpus(cfg), tmp_path, cfg)
+        assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
+        assert load_manifest(tmp_path / "manifest.json") == manifest
 
     def test_written_corpus_loads(self, tmp_path):
         cfg = SynthConfig(num_classes=2, subjects=1, views=2, frames_per_video=3,
@@ -126,3 +128,49 @@ class TestManifest:
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match="unique"):
             load_manifest(path)
+
+
+def _tree(root) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestStreamedCorpus:
+    def test_corpus_indexes_pairs_in_class_major_order(self):
+        cfg = SynthConfig(num_classes=2, subjects=2, views=3, frames_per_video=3,
+                          frame_side=16, seed=4)
+        corpus = Corpus(cfg)
+        pairs = generate(cfg)
+        assert len(corpus) == len(pairs) == 12
+        assert [p.seq_id for p in corpus] == [p.seq_id for p in pairs]
+        assert corpus[-1].seq_id == "c1_s1_v3"
+        np.testing.assert_array_equal(corpus[-1].rgb.data, pairs[-1].rgb.data)
+        with pytest.raises(IndexError):
+            corpus[12]
+
+    def test_streamed_and_listed_corpora_write_identical_trees(self, tmp_path):
+        cfg = SynthConfig(num_classes=2, subjects=2, views=2, frames_per_video=3,
+                          frame_side=20, seed=7)
+        streamed = write_corpus(Corpus(cfg), tmp_path / "streamed", cfg)
+        listed = write_corpus(generate(cfg), tmp_path / "listed", cfg)
+        assert streamed == listed
+        assert _tree(tmp_path / "streamed") == _tree(tmp_path / "listed")
+
+    @staticmethod
+    def synth_peak(out, subjects) -> int:
+        tracemalloc.start()
+        try:
+            assert cli.main(["synth", "--out", str(out), "--subjects", str(subjects)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_synth_memory_is_bounded_by_one_pair(self, tmp_path):
+        """``synth`` holds one rendered pair, not the corpus: its peak stays
+        under four pairs' float64 planes and does not grow with subjects
+        (the whole default corpus is 72 pairs, ~151 MB)."""
+        cfg = SynthConfig()
+        pair_bytes = cfg.frames_per_video * 4 * cfg.frame_side ** 2 * 8
+        small = self.synth_peak(tmp_path / "two", subjects=2)
+        full = self.synth_peak(tmp_path / "eight", subjects=8)
+        assert full < 4 * pair_bytes
+        assert full < 1.5 * small
