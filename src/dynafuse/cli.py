@@ -171,6 +171,7 @@ def _read_scores_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     header = rows[0][1]
     if header[:2] != ["sequence_id", "label"]:
         raise ValueError(f"score file {path} has an unexpected header")
+    num_classes = len(header) - 2
     ids, labels, scores = [], [], []
     for line, row in rows[1:]:
         where = f"score file {path} line {line}"
@@ -180,6 +181,8 @@ def _read_scores_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
             labels.append(int(row[1]))
         except ValueError:
             raise ValueError(f"{where} has a non-integer label {row[1]!r}") from None
+        if not 0 <= labels[-1] < num_classes:
+            raise ValueError(f"{where} has a label {labels[-1]} outside [0, {num_classes})")
         try:
             scores.append([float(v) for v in row[2:]])
         except ValueError:
@@ -298,9 +301,9 @@ def cmd_train(args) -> Path:
     manifest = synthgen.load_manifest(args.manifest)
     config = manifest.get("config")
     num_classes = config.get("num_classes") if isinstance(config, dict) else None
-    if isinstance(num_classes, bool) or not isinstance(num_classes, int) or num_classes < 1:
+    if isinstance(num_classes, bool) or not isinstance(num_classes, int) or num_classes < 2:
         raise ValueError(f"manifest {args.manifest} needs an integer "
-                         f"config.num_classes >= 1, got {num_classes!r}")
+                         f"config.num_classes >= 2, got {num_classes!r}")
     root = Path(args.manifest).parent / manifest.get("root", ".")
     protocol = _protocol_from_args(args)
     train_ids, _ = fusion_eval.make_splits(manifest["sequences"], protocol)
@@ -343,9 +346,10 @@ def cmd_train(args) -> Path:
             "best_val_accuracy": log.best_val_accuracy,
         },
     )
+    val = "none" if log.best_val_accuracy is None else f"{log.best_val_accuracy:.3f}"
     print(
         f"trained {args.stream} stream on {len(entries)} sequences; "
-        f"best epoch {log.best_epoch} (val acc {log.best_val_accuracy:.3f}) -> {model_dir}"
+        f"best epoch {log.best_epoch} (val acc {val}) -> {model_dir}"
     )
     return model_dir
 

@@ -1,10 +1,11 @@
 """Linear softmax classifier trained with Adam, one model per stream.
 
-Features are standardized per dimension over the training split (the
-statistics ride along in the model), minibatches are shuffled with a
-seeded generator, and the parameters with the best validation accuracy
-are kept (earliest epoch on ties).  Everything is deterministic given
-data order, seed and config.
+Training standardizes features per dimension over the training split,
+shuffles minibatches with a seeded generator, and keeps the parameters
+with the best validation accuracy (earliest epoch on ties).  The
+standardization is then folded into the weights and bias, so a model is
+one affine map of raw features.  Everything is deterministic given data
+order, seed and config.
 """
 
 from __future__ import annotations
@@ -41,38 +42,23 @@ class AdamConfig:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Affine scores over standardized features: softmax(W (x-mu)/sd + b)."""
+    """Affine scores over raw features: softmax(W x + b)."""
 
     weights: np.ndarray  # (num_classes, d)
     bias: np.ndarray  # (num_classes,)
     num_classes: int
     dim: int
-    feature_mean: np.ndarray
-    feature_scale: np.ndarray
 
     def __post_init__(self):
         classes, dim = self.num_classes, self.dim
         if classes < 2 or dim < 1:
             raise ValueError("need num_classes >= 2 and dim >= 1")
-        for name in ("weights", "bias", "feature_mean", "feature_scale"):
+        for name in ("weights", "bias"):
             arr = _freeze(getattr(self, name))
             _require_finite(arr, f"{name} contains non-finite values")
             object.__setattr__(self, name, arr)
         if self.weights.shape != (classes, dim) or self.bias.shape != (classes,):
             raise ValueError("weight/bias shapes inconsistent with num_classes and dim")
-        if self.feature_mean.shape != (dim,) or self.feature_scale.shape != (dim,):
-            raise ValueError("standardization vectors must have shape (dim,)")
-
-    @classmethod
-    def zeros(cls, num_classes: int, dim: int) -> "LinearModel":
-        return cls(
-            weights=np.zeros((num_classes, dim)),
-            bias=np.zeros(num_classes),
-            num_classes=num_classes,
-            dim=dim,
-            feature_mean=np.zeros(dim),
-            feature_scale=np.ones(dim),
-        )
 
 
 @dataclass
@@ -82,7 +68,7 @@ class TrainLog:
     train_loss: list[float] = field(default_factory=list)
     val_accuracy: list[float] = field(default_factory=list)
     best_epoch: int = 0
-    best_val_accuracy: float = float("nan")
+    best_val_accuracy: float | None = None  # None when no epoch was validated
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -100,14 +86,13 @@ def predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != model.dim:
         raise ValueError(f"feature shape {x.shape} does not match model dim {model.dim}")
-    z = (x - model.feature_mean) / model.feature_scale
-    return softmax(z @ model.weights.T + model.bias)
+    return softmax(x @ model.weights.T + model.bias)
 
 
 def _cross_entropy_and_grads(
     z: np.ndarray, y: np.ndarray, w: np.ndarray, b: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy of a standardized batch and its gradient w.r.t. (W, b)."""
+    """Mean cross-entropy of a batch and its gradient w.r.t. (W, b)."""
     probs = softmax(z @ w.T + b)
     n = z.shape[0]
     loss = float(-np.log(probs[np.arange(n), y]).mean())
@@ -167,7 +152,10 @@ def train(
     split, and trained with Adam over seeded minibatch shuffles.  The
     returned model carries the parameters of the epoch with the highest
     validation accuracy (earliest epoch on ties; the final parameters
-    when there is no validation split).
+    when there is no validation split), with the standardization folded
+    in: ``W' = W / scale`` rounded to float32, the precision
+    ``weights.rpt1`` stores, and ``b' = b - W' mean`` in float64 from
+    the rounded ``W'``, so a saved model loads back bit for bit.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
@@ -236,13 +224,12 @@ def train(
 
     if n_val > 0 and cfg.epochs > 0:
         log.best_val_accuracy = best_acc
+    weights = (best_w / scale).astype(np.float32)
     model = LinearModel(
-        weights=best_w,
-        bias=best_b,
+        weights=weights,
+        bias=best_b - weights @ mean,
         num_classes=num_classes,
         dim=dim,
-        feature_mean=mean,
-        feature_scale=scale,
     )
     return model, log
 
@@ -255,9 +242,8 @@ def gradient_check(model: LinearModel, batch: Sequence[tuple[np.ndarray, int]]) 
     """
     x = np.asarray([np.asarray(v, dtype=np.float64).ravel() for v, _ in batch])
     y = np.asarray([int(c) for _, c in batch])
-    z = (x - model.feature_mean) / model.feature_scale
     params = {"w": model.weights, "b": model.bias}
-    _, g_w, g_b = _cross_entropy_and_grads(z, y, **params)
+    _, g_w, g_b = _cross_entropy_and_grads(x, y, **params)
 
     h = 1e-5
     worst = 0.0
@@ -270,7 +256,7 @@ def gradient_check(model: LinearModel, batch: Sequence[tuple[np.ndarray, int]]) 
             for sign in (+1.0, -1.0):
                 perturbed = base.copy()
                 perturbed[idx] += sign * h
-                loss, _, _ = _cross_entropy_and_grads(z, y, **{**params, attr: perturbed})
+                loss, _, _ = _cross_entropy_and_grads(x, y, **{**params, attr: perturbed})
                 numeric[idx] += sign * loss
             numeric[idx] /= 2.0 * h
         diff = np.abs(analytic - numeric)
@@ -297,27 +283,27 @@ def pool_features(vectors: np.ndarray, strategy: str = "mean") -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: RPT1 weight tensors plus a JSON sidecar
+# Serialization: an RPT1 weight tensor plus a JSON sidecar
 # ---------------------------------------------------------------------------
 
 
 def save_model(model: LinearModel, directory, cfg: AdamConfig, extra: dict) -> None:
-    """Write weights.rpt1, bias.rpt1 and model.json (the model's sizes and
-    standardization, ``cfg`` under ``adam``, and the keys of ``extra``)
-    into ``directory``."""
+    """Write weights.rpt1 (float32, as ``train`` rounds them) and model.json
+    (the model's sizes, its float64 bias, ``cfg`` under ``adam``, and the
+    keys of ``extra``) into ``directory``.  ``extra`` holds no NaN or
+    infinity: model.json is RFC 8259 JSON."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_tensor(model.weights.astype(np.float32), None, directory / "weights.rpt1")
-    write_tensor(model.bias.astype(np.float32), None, directory / "bias.rpt1")
+    write_tensor(model.weights, None, directory / "weights.rpt1")
     sidecar = {
         "num_classes": model.num_classes,
         "dim": model.dim,
-        "feature_mean": model.feature_mean.tolist(),
-        "feature_scale": model.feature_scale.tolist(),
+        "bias": model.bias.tolist(),
         "adam": asdict(cfg),
         **extra,
     }
-    (directory / "model.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    text = json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False)
+    (directory / "model.json").write_text(text)
 
 
 def load_model(directory) -> tuple[LinearModel, dict]:
@@ -328,26 +314,22 @@ def load_model(directory) -> tuple[LinearModel, dict]:
         sidecar = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ValueError(f"model file {path} is not JSON: {exc}") from None
-    required = {"num_classes": int, "dim": int, "feature_mean": list, "feature_scale": list}
+    required = {"num_classes": int, "dim": int, "bias": list}
     for key, kind in required.items():
         value = sidecar.get(key) if isinstance(sidecar, dict) else None
         if type(value) is not kind:  # not isinstance: a bool is no class count
             raise ValueError(f"model file {path} needs {'an integer' if kind is int else 'a list'} "
                              f"{key!r}, got {value!r:.60}")
-    for key in ("feature_mean", "feature_scale"):
-        for value in sidecar[key]:
-            if type(value) not in (int, float):  # not isinstance: a bool is no number
-                raise ValueError(f"model file {path} needs numbers in {key!r}, got {value!r:.60}")
+    for value in sidecar["bias"]:
+        if type(value) not in (int, float):  # not isinstance: a bool is no number
+            raise ValueError(f"model file {path} needs numbers in 'bias', got {value!r:.60}")
     weights, _ = read_tensor(directory / "weights.rpt1")
-    bias, _ = read_tensor(directory / "bias.rpt1")
     try:
         model = LinearModel(
             weights=weights,
-            bias=bias.ravel(),
+            bias=sidecar["bias"],
             num_classes=sidecar["num_classes"],
             dim=sidecar["dim"],
-            feature_mean=sidecar["feature_mean"],
-            feature_scale=sidecar["feature_scale"],
         )
     except (OverflowError, ValueError) as exc:  # OverflowError: an integer past float range
         raise ValueError(f"model file {path} describes no usable model: {exc}") from None

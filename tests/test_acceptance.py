@@ -134,8 +134,6 @@ def test_criterion_06_gradient_check():
             bias=rng.standard_normal(c),
             num_classes=c,
             dim=d,
-            feature_mean=np.zeros(d),
-            feature_scale=np.ones(d),
         )
         batch = [(rng.standard_normal(d), int(rng.integers(0, c))) for _ in range(5)]
         worst = max(worst, gradient_check(model, batch))

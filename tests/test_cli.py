@@ -777,6 +777,13 @@ class TestPredictSelection:
         assert not (tmp_path / "none.csv").exists()
 
 
+def _pre_fold(record):
+    """model.json as written before the standardization was folded into the
+    weights: no bias, and the mean and scale vectors."""
+    del record["bias"]
+    record.update(feature_mean=[0.0] * record["dim"], feature_scale=[1.0] * record["dim"])
+
+
 class TestModelFileChecks:
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory):
@@ -795,7 +802,7 @@ class TestModelFileChecks:
             lambda r: r.pop("dim"),
             lambda r: r.update(num_classes="3"),
             lambda r: r.update(dim=True),
-            lambda r: r.pop("feature_mean"),
+            lambda r: r.pop("bias"),
             lambda r: r["protocol"].pop("train"),
             lambda r: r["protocol"].update(test=3),
             lambda r: r.update(stream="depth"),
@@ -805,25 +812,24 @@ class TestModelFileChecks:
             lambda r: r["feature"].update(k=2.5),
             lambda r: r["feature"].update(on_silhouette="false"),
             lambda r: r.update(dim=5),
-            lambda r: r["feature_mean"].pop(),
-            lambda r: r["feature_scale"].__setitem__(0, "x"),
-            lambda r: r.update(feature_mean=["1e3"] + r["feature_mean"][1:],
-                               feature_scale=[str(v) for v in r["feature_scale"]]),
-            lambda r: r["feature_scale"].__setitem__(0, True),
-            lambda r: r["feature_mean"].__setitem__(0, 10**400),
+            lambda r: r["bias"].pop(),
+            lambda r: r["bias"].__setitem__(0, "x"),
+            lambda r: r.update(bias=["1e3"] + [str(v) for v in r["bias"][1:]]),
+            lambda r: r["bias"].__setitem__(0, True),
+            lambda r: r["bias"].__setitem__(0, 10**400),
+            _pre_fold,
             lambda r: r.update(num_classes=1),
             lambda r: r["feature"].update(k=0),
             lambda r: r["feature"].update(roi_side=0),
             lambda r: r["feature"].update(pool="max"),
             "{not json",
         ],
-        ids=["no_dim", "string_num_classes", "bool_dim", "no_feature_mean",
+        ids=["no_dim", "string_num_classes", "bool_dim", "no_bias",
              "protocol_without_train", "scalar_test_side", "depth_stream", "no_stream",
              "no_feature", "feature_without_on_silhouette", "float_k", "string_on_silhouette",
-             "dim_5", "short_feature_mean", "string_in_feature_scale",
-             "numeric_strings_in_feature_vectors", "bool_in_feature_scale",
-             "int_past_float_range_in_feature_mean", "one_class", "k_0", "roi_side_0",
-             "pool_max", "not_json"],
+             "dim_5", "short_bias", "string_in_bias", "numeric_strings_in_bias",
+             "bool_in_bias", "int_past_float_range_in_bias", "pre_fold_model", "one_class",
+             "k_0", "roi_side_0", "pool_max", "not_json"],
     )
     def test_bad_model_file_exits_1(self, trained, tmp_path, capsys, monkeypatch, edit):
         """A model.json that is not JSON, or lacks, mistypes or puts out of
@@ -968,12 +974,12 @@ TRAIN_PREDICT_MUTATIONS = {
     "model_no_dim": ({"predict"}, _json_edit(_model_json, lambda r, _: r.pop("dim"))),
     "model_string_num_classes": ({"predict"}, _json_edit(
         _model_json, lambda r, _: r.update(num_classes="3"))),
-    "model_nan_mean": ({"predict"}, _json_edit(
-        _model_json, lambda r, _: r["feature_mean"].__setitem__(0, float("nan")))),
-    "model_inf_scale": ({"predict"}, _json_edit(
-        _model_json, lambda r, _: r["feature_scale"].__setitem__(0, float("inf")))),
-    "model_short_mean": ({"predict"}, _json_edit(
-        _model_json, lambda r, _: r["feature_mean"].pop())),
+    "model_nan_bias": ({"predict"}, _json_edit(
+        _model_json, lambda r, _: r["bias"].__setitem__(0, float("nan")))),
+    "model_inf_bias": ({"predict"}, _json_edit(
+        _model_json, lambda r, _: r["bias"].__setitem__(0, float("inf")))),
+    "model_short_bias": ({"predict"}, _json_edit(
+        _model_json, lambda r, _: r["bias"].pop())),
     "model_feature_list": ({"predict"}, _json_edit(
         _model_json, lambda r, _: r.update(feature=[]))),
     "model_k_0": ({"predict"}, _json_edit(_model_json, lambda r, _: r["feature"].update(k=0))),
@@ -1053,8 +1059,8 @@ class TestTrainPredictInputSurface:
                 argv = ["train", "--manifest", manifest, "--stream", stream,
                         "--train-views", "1,2", "--test-views", "3", "--epochs", "2",
                         "--model-out", str(out_dir / "model")]
-                outputs = ["model", "model/bias.rpt1", "model/model.json",
-                           "model/run-config.json", "model/weights.rpt1"]
+                outputs = ["model", "model/model.json", "model/run-config.json",
+                           "model/weights.rpt1"]
             else:
                 argv = ["predict", "--model", str(work / f"model_{stream}"),
                         "--manifest", manifest, "--out", str(out_dir / "scores.csv")]
@@ -1113,11 +1119,15 @@ class TestManifestChecks:
 
     @pytest.mark.parametrize(
         "config",
-        [None, {}, {"num_classes": "3"}, {"num_classes": 0}, {"num_classes": True}],
-        ids=["no_config", "no_num_classes", "string", "zero", "bool"],
+        [None, {}, {"num_classes": "3"}, {"num_classes": 0}, {"num_classes": True},
+         {"num_classes": 1}],
+        ids=["no_config", "no_num_classes", "string", "zero", "bool", "one"],
     )
-    def test_bad_num_classes_exits_1(self, tmp_path, capsys, config):
+    def test_bad_num_classes_exits_1(self, tmp_path, capsys, monkeypatch, config):
+        """The class count is checked before any video is read."""
         corpus = tiny_corpus(tmp_path)
+        read = []
+        monkeypatch.setattr(cli, "_load_video_dir", lambda *args: read.append(args))
         path = corpus / "manifest.json"
         record = json.loads(path.read_text())
         if config is None:
@@ -1136,6 +1146,7 @@ class TestManifestChecks:
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
         assert payload["message"].startswith(f"manifest {path} needs an integer config.num_classes")
+        assert read == []
         assert not model.exists()
         assert not list(tmp_path.glob("*.config.json"))
 
@@ -1245,6 +1256,21 @@ class TestErrorHandling:
         assert read == []
         assert not model.exists()
         assert not list(tmp_path.glob("*.config.json"))
+
+    def test_no_validation_split_writes_strict_json(self, tmp_path):
+        """Without a validation split there is no best validation accuracy:
+        model.json records null there and stays RFC 8259 JSON, with no NaN."""
+        corpus = tiny_corpus(tmp_path)
+        model = tmp_path / "model"
+        assert cli.main(["train", "--manifest", str(corpus / "manifest.json"), "--stream", "motion",
+                         "--train-views", "1,2", "--test-views", "3", "--epochs", "2",
+                         "--model-out", str(model), "--val-fraction", "0"]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"model.json holds {constant}")
+
+        record = json.loads((model / "model.json").read_text(), parse_constant=refuse)
+        assert record["best_val_accuracy"] is None
 
     @pytest.mark.parametrize("stream", ["motion", "std"])
     @pytest.mark.parametrize("flags", [["--k", "0"], ["--roi-side", "0"], ["--k", "-3"]],
@@ -1362,8 +1388,10 @@ class TestErrorHandling:
             (b"b,1,0.5", "line 3 has 3 fields, but its header has 4"),
             (b"b,1.0,0.5,0.5", "line 3 has a non-integer label '1.0'"),
             (b"\xff,1,0.5,0.5", "is not UTF-8 text"),
+            (b"b,2,0.5,0.5", "line 3 has a label 2 outside [0, 2)"),
+            (b"b,-1,0.5,0.5", "line 3 has a label -1 outside [0, 2)"),
         ],
-        ids=["nan", "inf", "ragged", "non_integer_label", "not_utf8"],
+        ids=["nan", "inf", "ragged", "non_integer_label", "not_utf8", "label_2", "label_minus_1"],
     )
     def test_bad_score_row_exits_1(self, tmp_path, capsys, command, row, problem):
         """A bad row, or a byte that is not UTF-8, is an error naming the
